@@ -1,11 +1,20 @@
 //! Criterion benches of the steady-state cost of Megaphone's mechanisms:
 //! key-to-bin mapping, routed fold application, and state encoding. These are
 //! the per-record costs behind the overhead experiment (Figures 13–15).
+//!
+//! `stateful_overhead` is that experiment end to end: one closed-loop
+//! hash-count run on `stateful_unary` against the same count on a plain
+//! `exchange` + `unary`, on two worker threads. The ratio of the two means is
+//! what `stateful_unary`'s F→S record path adds to a record; it is the
+//! in-tree twin of the benchmark ledger's `megaphone.operator.overhead_ratio`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use megaphone::prelude::*;
 use megaphone::Bin;
+use timelite::communication::Pact;
+use timelite::dataflow::{ProbeHandle, Stream};
 use timelite::hashing::{hash_code, FxHashMap};
+use timelite::Config;
 
 fn bench_key_to_bin(c: &mut Criterion) {
     let mut group = c.benchmark_group("key_to_bin");
@@ -53,5 +62,97 @@ fn bench_bin_encode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_key_to_bin, bench_state_update, bench_bin_encode);
+/// Epochs per closed-loop run, and records each worker sends per epoch.
+const OVERHEAD_EPOCHS: u64 = 48;
+const OVERHEAD_RECORDS: u64 = 2048;
+/// Epochs a worker may run ahead of the output probe.
+const OVERHEAD_IN_FLIGHT: u64 = 4;
+
+/// Builds a hash count over the key stream and returns its output probe.
+type BuildHashCount = fn(&Stream<u64, ControlInst>, &Stream<u64, u64>) -> ProbeHandle<u64>;
+
+/// One closed-loop run of a hash count built by `build` on two workers:
+/// uniform keys over 2^16, every worker sending `OVERHEAD_RECORDS` per epoch.
+fn hash_count_run(build: BuildHashCount) -> u64 {
+    let sent = timelite::execute(Config::process(2), move |worker| {
+        let (mut control, mut input, probe) = worker.dataflow::<u64, _, _>(|scope| {
+            let (control_input, control) = scope.new_input::<ControlInst>();
+            let (data_input, data) = scope.new_input::<u64>();
+            (control_input, data_input, build(&control, &data))
+        });
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(worker.index() as u64 + 1) | 1;
+        let mut keys = Vec::new();
+        for epoch in 0..OVERHEAD_EPOCHS {
+            keys.extend((0..OVERHEAD_RECORDS).map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng & 0xffff
+            }));
+            input.send_batch(&mut keys);
+            control.advance_to(epoch + 1);
+            input.advance_to(epoch + 1);
+            worker.step_while(|| probe.less_than(&(epoch + 1).saturating_sub(OVERHEAD_IN_FLIGHT)));
+        }
+        drop(control);
+        drop(input);
+        worker.step_until_complete();
+        OVERHEAD_EPOCHS * OVERHEAD_RECORDS
+    });
+    sent.into_iter().sum()
+}
+
+fn stateful_hash_count(
+    control: &Stream<u64, ControlInst>,
+    data: &Stream<u64, u64>,
+) -> ProbeHandle<u64> {
+    stateful_unary::<_, u64, FxHashMap<u64, u64>, u64, _, _>(
+        MegaphoneConfig::new(8),
+        control,
+        data,
+        "HashCount",
+        hash_code,
+        |_time, keys, counts, _notificator| {
+            let mut outputs = Vec::with_capacity(keys.len());
+            for key in keys {
+                let count = counts.entry(key).or_insert(0);
+                *count += 1;
+                outputs.push(*count);
+            }
+            outputs
+        },
+    )
+    .probe
+}
+
+fn plain_hash_count(
+    _control: &Stream<u64, ControlInst>,
+    data: &Stream<u64, u64>,
+) -> ProbeHandle<u64> {
+    let mut counts = FxHashMap::<u64, u64>::default();
+    data.unary(Pact::exchange(|key: &u64| hash_code(key)), "PlainHashCount", move |capability, keys, output| {
+        let mut session = output.session(&capability);
+        for key in keys {
+            let count = counts.entry(key).or_insert(0);
+            *count += 1;
+            session.give(*count);
+        }
+    })
+    .probe()
+}
+
+fn bench_stateful_overhead(c: &mut Criterion) {
+    let mut group = c.benchmark_group("stateful_overhead");
+    group.bench_function("stateful_unary", |b| b.iter(|| hash_count_run(stateful_hash_count)));
+    group.bench_function("exchange_unary", |b| b.iter(|| hash_count_run(plain_hash_count)));
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_key_to_bin,
+    bench_state_update,
+    bench_bin_encode,
+    bench_stateful_overhead
+);
 criterion_main!(benches);

@@ -12,8 +12,9 @@
 //!   to their new owner over a regular dataflow channel.
 //! * **S** hosts the bins. It installs migrated state immediately and applies
 //!   data records in timestamp order once their time has been passed by both
-//!   its data and its state input frontier, invoking the user's fold logic with
-//!   the bin's state and a [`Notificator`] for post-dated records.
+//!   its data and its state input frontier, invoking the user's fold logic
+//!   once per `(time, bin)` with the bin's state and a [`Notificator`] for
+//!   post-dated records.
 //!
 //! F and S instances on the same worker share the bin store through a shared
 //! pointer, exactly as described in Section 4.2 of the paper.
@@ -21,13 +22,13 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use timelite::communication::Pact;
-use timelite::dataflow::{Capability, OperatorBuilder, ProbeHandle, Stream};
+use timelite::dataflow::{Capability, OperatorBuilder, OutputPort, ProbeHandle, Stream};
 use timelite::order::{Timestamp, TotalOrder};
 use timelite::Data;
 
 use crate::bins::{
-    shared_bin_store_with_storage, Bin, BinId, BinStats, ChunkedExtraction, MegaphoneConfig,
-    StateFragment, StatsHandle,
+    shared_bin_store_with_storage, Bin, BinId, BinStats, BinStore, ChunkedExtraction,
+    MegaphoneConfig, StateFragment, StatsHandle,
 };
 use crate::codec::{ChunkedCodec, Codec};
 use crate::control::ControlInst;
@@ -92,9 +93,17 @@ impl<T: Timestamp, O: Data> StatefulOutput<T, O> {
 ///   dataflow's exchange functions); keys are assigned to bins by the most
 ///   significant `config.bin_shift` bits.
 /// * `fold` is invoked once per `(time, bin)` with the records of that bin at
-///   that time (including any post-dated records that came due), the bin's
-///   state, and a [`Notificator`] for scheduling post-dated records. It returns
-///   the outputs to emit at that time.
+///   that time — post-dated records that came due first, then the records that
+///   arrived at that time, from however many batches and workers, in arrival
+///   order — the bin's state, and a [`Notificator`] for scheduling post-dated
+///   records. It returns the outputs to emit at that time; it is never called
+///   with no records. (Records `fold` itself post-dates to the time being
+///   processed are delivered by one further call.)
+///
+/// S stashes the routed batches as they arrive and, once a time is closed,
+/// groups all of them by bin in one counting pass, folds the bins in ascending
+/// order, and emits the outputs of the whole time as one batch: downstream
+/// sees one batch per `(time, worker)`. `tests/batching.rs` pins both.
 ///
 /// Migration is transparent to `fold`: the same bin state appears at the new
 /// worker, with pending records intact.
@@ -203,26 +212,13 @@ where
                 if control_frontier.less_equal(capability.time()) {
                     data_stash.push(capability, records);
                 } else {
-                    let time = capability.time().clone();
-                    let mut session = f_data_out.session(&capability);
-                    for record in records {
-                        let hash = key(&record);
-                        let bin = config.key_to_bin(hash);
-                        let target = routing.lookup(&time, bin) as u64;
-                        session.give((target, hash, record));
-                    }
+                    route_batch(&config, &routing, &key, &mut f_data_out, &capability, records);
                 }
             });
 
             // 3. Route stashed records whose configuration has become certain.
-            for (time, capability, records) in data_stash.drain_ready(control_frontier) {
-                let mut session = f_data_out.session(&capability);
-                for record in records {
-                    let hash = key(&record);
-                    let bin = config.key_to_bin(hash);
-                    let target = routing.lookup(&time, bin) as u64;
-                    session.give((target, hash, record));
-                }
+            for (_time, capability, records) in data_stash.drain_ready(control_frontier) {
+                route_batch(&config, &routing, &key, &mut f_data_out, &capability, records);
             }
 
             // 4. Perform migrations in time order. A configuration update at
@@ -338,11 +334,19 @@ where
     let mut fold = fold;
     let s_activator = s_builder.activator();
     s_builder.build(move |initial_capability| {
-        // Received data bundles, released in timestamp order once both input
-        // frontiers have passed their time.
-        let mut data_stash: PendingQueue<T, Vec<(u64, D)>> = PendingQueue::new();
+        // Received data batches, as they arrived, released in timestamp order
+        // once both input frontiers have passed their time.
+        let mut data_stash: PendingQueue<T, Vec<Routed<D>>> = PendingQueue::new();
         // Wake-ups for bins with post-dated records.
         let mut wakeups: PendingQueue<T, BinId> = PendingQueue::new();
+        // Scratch of the per-time grouping, reused across times: the released
+        // batches of the time, the per-bin record counts that size `groups`,
+        // the bins with work (records or a wake-up), and one record `Vec` per
+        // bin, empty between times.
+        let mut batches: Vec<Vec<Routed<D>>> = Vec::new();
+        let mut counts: Vec<u32> = vec![0; config.bins()];
+        let mut touched: Vec<BinId> = Vec::new();
+        let mut groups: Vec<Vec<D>> = (0..config.bins()).map(|_| Vec::new()).collect();
 
         // Bins recovered from a durable store may carry post-dated records
         // whose wake-ups died with the previous process: re-register them
@@ -391,61 +395,83 @@ where
             });
 
             // Stash data until its time can no longer receive state or records.
-            s_data_in.for_each(|capability, records| {
-                let records: Vec<(u64, D)> =
-                    records.into_iter().map(|(_target, hash, record)| (hash, record)).collect();
-                data_stash.push(capability, records);
-            });
+            s_data_in.for_each(|capability, records| data_stash.push(capability, records));
 
-            // Release ready work (data batches and wake-ups) in timestamp order.
-            let ready_data = data_stash.drain_ready2(data_frontier, state_frontier);
-            let ready_wakeups = wakeups.drain_ready2(data_frontier, state_frontier);
-
-            enum Work<D> {
-                Data(Vec<(u64, D)>),
-                Wakeup(BinId),
-            }
-            let mut work: Vec<(T, Capability<T>, Work<D>)> = Vec::new();
-            work.extend(ready_data.into_iter().map(|(t, c, d)| (t, c, Work::Data(d))));
-            work.extend(ready_wakeups.into_iter().map(|(t, c, b)| (t, c, Work::Wakeup(b))));
-            work.sort_by(|a, b| a.0.cmp(&b.0));
-
-            for (time, capability, item) in work {
-                match item {
-                    Work::Data(records) => {
-                        // Group records by bin, preserving arrival order.
-                        let mut by_bin: BTreeMap<BinId, Vec<D>> = BTreeMap::new();
-                        for (hash, record) in records {
-                            by_bin.entry(config.key_to_bin(hash)).or_default().push(record);
-                        }
-                        for (bin, records) in by_bin {
-                            process_bin(
-                                &mut fold,
-                                &s_store,
-                                &mut wakeups,
-                                &mut s_output,
-                                &time,
-                                &capability,
-                                bin,
-                                records,
-                                true,
-                            );
-                        }
+            // Release ready work (data batches and wake-ups) one time at a
+            // time, in timestamp order.
+            let mut ready_data =
+                data_stash.drain_ready2(data_frontier, state_frontier).into_iter().peekable();
+            let mut ready_wakeups =
+                wakeups.drain_ready2(data_frontier, state_frontier).into_iter().peekable();
+            loop {
+                let time = match (ready_data.peek(), ready_wakeups.peek()) {
+                    (Some((data_time, ..)), Some((wakeup_time, ..))) => {
+                        data_time.min(wakeup_time).clone()
                     }
-                    Work::Wakeup(bin) => {
-                        process_bin(
-                            &mut fold,
-                            &s_store,
-                            &mut wakeups,
-                            &mut s_output,
-                            &time,
-                            &capability,
-                            bin,
-                            Vec::new(),
-                            false,
-                        );
+                    (Some((time, ..)), None) | (None, Some((time, ..))) => time.clone(),
+                    (None, None) => break,
+                };
+
+                // Merge everything released for `time`: count the records per
+                // bin, and let repeated wake-ups of one bin collapse into one.
+                // Any of the released capabilities serves the whole time.
+                let mut capability = None;
+                let mut arrived = 0;
+                while let Some((_, held, batch)) = ready_data.next_if(|entry| entry.0 == time) {
+                    for (_target, hash, _record) in &batch {
+                        let bin = config.key_to_bin(*hash);
+                        if counts[bin] == 0 {
+                            touched.push(bin);
+                        }
+                        counts[bin] += 1;
+                    }
+                    arrived += batch.len();
+                    batches.push(batch);
+                    capability.get_or_insert(held);
+                }
+                while let Some((_, held, bin)) = ready_wakeups.next_if(|entry| entry.0 == time) {
+                    touched.push(bin);
+                    capability.get_or_insert(held);
+                }
+                let capability = capability.expect("released work carries a capability");
+                touched.sort_unstable();
+                touched.dedup();
+
+                // Group the records by bin, in arrival order, into exactly
+                // sized per-bin vectors.
+                for &bin in &touched {
+                    groups[bin].reserve_exact(counts[bin] as usize);
+                    counts[bin] = 0;
+                }
+                for batch in batches.drain(..) {
+                    for (_target, hash, record) in batch {
+                        groups[config.key_to_bin(hash)].push(record);
                     }
                 }
+
+                // One fold per (time, bin), ascending by bin; the outputs of
+                // the whole time leave as one batch.
+                let mut outputs: Vec<O> = Vec::new();
+                let mut store = s_store.borrow_mut();
+                for bin in touched.drain(..) {
+                    let mut produced = process_bin(
+                        &mut fold,
+                        &mut store,
+                        &mut wakeups,
+                        &time,
+                        &capability,
+                        bin,
+                        std::mem::take(&mut groups[bin]),
+                    );
+                    if outputs.capacity() == 0 && !produced.is_empty() {
+                        // The first outputs of the time size its buffer for
+                        // the common one-output-per-record fold.
+                        outputs.reserve(arrived.max(produced.len()));
+                    }
+                    outputs.append(&mut produced);
+                }
+                drop(store);
+                s_output.session(&capability).give_vec(&mut outputs);
             }
 
             // Cold-bin eviction: let the store's policy (if armed) observe
@@ -488,27 +514,46 @@ where
     StatefulOutput { stream, probe, stats, storage }
 }
 
-/// Applies `fold` to one bin at one time: due post-dated records first, then the
-/// freshly arrived records.
-#[allow(clippy::too_many_arguments)]
-fn process_bin<T, D, S, O, F>(
-    fold: &mut F,
-    store: &crate::bins::SharedBinStore<T, S, D>,
-    wakeups: &mut PendingQueue<T, BinId>,
-    output: &mut timelite::dataflow::OutputPort<T, O>,
-    time: &T,
+/// Routes one batch at F: the configuration at the batch's time is resolved
+/// once and indexed per record, and the output batch is sized up front.
+fn route_batch<T, D, H>(
+    config: &MegaphoneConfig,
+    routing: &RoutingTable<T>,
+    key: &H,
+    output: &mut OutputPort<T, Routed<D>>,
     capability: &Capability<T>,
-    bin: BinId,
     records: Vec<D>,
-    require_hosted: bool,
 ) where
     T: MegaphoneTime,
     D: MegaphoneData,
+    H: Fn(&D) -> u64,
+{
+    let assignment = routing.resolve(capability.time());
+    output.session(capability).give_iterator(records.into_iter().map(|record| {
+        let hash = key(&record);
+        (assignment[config.key_to_bin(hash)] as u64, hash, record)
+    }));
+}
+
+/// Applies `fold` to one bin at one time — due post-dated records first, then
+/// the freshly arrived `fresh` records, in one call — and returns its outputs.
+/// `fold` is not called when there is nothing to fold: a wake-up whose records
+/// an earlier wake-up already delivered, or whose bin has migrated away.
+fn process_bin<T, D, S, O, F>(
+    fold: &mut F,
+    store: &mut BinStore<T, S, D>,
+    wakeups: &mut PendingQueue<T, BinId>,
+    time: &T,
+    capability: &Capability<T>,
+    bin: BinId,
+    fresh: Vec<D>,
+) -> Vec<O>
+where
+    T: MegaphoneTime,
+    D: MegaphoneData,
     S: MegaphoneState,
-    O: Data,
     F: FnMut(&T, Vec<D>, &mut S, &mut Notificator<T, D>) -> Vec<O>,
 {
-    let mut store = store.borrow_mut();
     // A hosted-but-spilled bin faults back in from the durable tier on its
     // first record or wake-up.
     store
@@ -516,41 +561,46 @@ fn process_bin<T, D, S, O, F>(
         .unwrap_or_else(|error| panic!("failed to fault bin {bin} back in: {error}"));
     let contents = match store.try_bin_mut(bin) {
         Some(contents) => contents,
-        None if require_hosted => {
+        None if !fresh.is_empty() => {
             panic!("worker received data for bin {bin} which it does not host: routing error")
         }
         // A stale wake-up for a bin that has since migrated away; the new owner
         // received the pending records with the bin and will process them.
-        None => return,
+        None => return Vec::new(),
     };
 
-    // Collect post-dated records that have come due, preserving their order.
-    let mut due = Vec::new();
-    let mut index = 0;
-    while index < contents.pending.len() {
-        if contents.pending[index].0.less_equal(time) {
-            due.push(contents.pending.remove(index).1);
-        } else {
-            index += 1;
-        }
+    let records = prepend_due(&mut contents.pending, time, fresh);
+    if records.is_empty() {
+        return Vec::new();
     }
-    let mut all_records = due;
-    all_records.extend(records);
-    if all_records.is_empty() && contents.pending.is_empty() && !require_hosted {
-        return;
-    }
-
-    let folded = all_records.len() as u64;
+    let folded = records.len() as u64;
     let Bin { state, pending } = contents;
     let mut notificator = Notificator::new(time, bin, pending, wakeups, capability);
-    let outputs = fold(time, all_records, state, &mut notificator);
-    if !outputs.is_empty() {
-        output.session(capability).give_iterator(outputs);
-    }
+    let outputs = fold(time, records, state, &mut notificator);
     // Per-bin load accounting behind `BinStats`: every fold application counts
     // as observed load, with the record's in-memory size standing in for its
     // (unknown without encoding) serialized growth.
-    if folded > 0 {
-        store.note_records(bin, folded, folded * std::mem::size_of::<D>() as u64);
+    store.note_records(bin, folded, folded * std::mem::size_of::<D>() as u64);
+    outputs
+}
+
+/// Moves the records of `pending` that are due at `time` in front of `fresh`,
+/// both in their original order, in one pass over `pending`. With nothing due
+/// — `pending` is empty on every call of a fold that never post-dates —
+/// `fresh` is returned as it came.
+fn prepend_due<T: MegaphoneTime, D>(pending: &mut Vec<(T, D)>, time: &T, fresh: Vec<D>) -> Vec<D> {
+    let Some(first) = pending.iter().position(|(due, _)| due.less_equal(time)) else {
+        return fresh;
+    };
+    let tail = pending.split_off(first);
+    let mut records = Vec::with_capacity(tail.len() + fresh.len());
+    for (due, record) in tail {
+        if due.less_equal(time) {
+            records.push(record);
+        } else {
+            pending.push((due, record));
+        }
     }
+    records.extend(fresh);
+    records
 }

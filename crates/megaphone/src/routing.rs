@@ -6,6 +6,7 @@
 //! whose time can no longer be needed (because the data frontier has passed
 //! them) are folded into the base assignment.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use timelite::order::{Timestamp, TotalOrder};
@@ -65,6 +66,25 @@ impl<T: Timestamp + TotalOrder> RoutingTable<T> {
         self.base[bin]
     }
 
+    /// The whole assignment in effect at `time`, resolved once so a batch of
+    /// records at one time indexes it per record instead of repeating
+    /// [`lookup`](Self::lookup)'s scan: the borrowed base assignment when no
+    /// retained update applies (every time outside a migration), otherwise a
+    /// copy with the applicable updates replayed in time order.
+    pub fn resolve(&self, time: &T) -> Cow<'_, [usize]> {
+        let mut applicable = self.updates.range(..=time.clone()).peekable();
+        if applicable.peek().is_none() {
+            return Cow::Borrowed(&self.base);
+        }
+        let mut assignment = self.base.clone();
+        for (_, changes) in applicable {
+            for &(bin, worker) in changes {
+                assignment[bin] = worker;
+            }
+        }
+        Cow::Owned(assignment)
+    }
+
     /// The worker responsible for `bin` immediately *before* `time`: the source
     /// of a migration taking effect at `time`.
     pub fn lookup_before(&self, time: &T, bin: BinId) -> usize {
@@ -104,7 +124,7 @@ impl<T: Timestamp + TotalOrder> RoutingTable<T> {
 
     /// The full assignment in effect at `time` (primarily for diagnostics/tests).
     pub fn assignment_at(&self, time: &T) -> Vec<usize> {
-        (0..self.base.len()).map(|bin| self.lookup(time, bin)).collect()
+        self.resolve(time).into_owned()
     }
 }
 
@@ -178,6 +198,68 @@ mod tests {
         table.compact(&Antichain::new());
         assert_eq!(table.pending_updates(), 0);
         assert_eq!(table.lookup(&0, 0), 3);
+    }
+
+    #[test]
+    fn resolve_borrows_the_base_until_an_update_applies() {
+        let mut table = table();
+        table.insert(10, &ControlInst::Move(0, 3));
+        assert!(matches!(table.resolve(&9), Cow::Borrowed(_)), "no update applies before 10");
+        assert!(matches!(table.resolve(&10), Cow::Owned(_)));
+        table.compact(&Antichain::from_elem(11));
+        assert!(matches!(table.resolve(&10), Cow::Borrowed(_)), "compacted into the base");
+    }
+
+    /// The per-time resolved view must agree with the per-bin `lookup` for
+    /// every bin, across random interleavings of `Move`/`Map` inserts,
+    /// compactions and query times.
+    #[test]
+    fn resolved_view_equals_lookup_for_every_bin() {
+        const BINS: usize = 16;
+        const WORKERS: u64 = 5;
+        for seed in 1..=64u64 {
+            let mut rng = seed;
+            let mut below = move |bound: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound
+            };
+            let mut table = RoutingTable::<u64>::new((0..BINS).map(|bin| bin % 3).collect());
+            // Updates are only ever inserted at or after the compaction
+            // frontier, as F does (control times never trail the data frontier).
+            let mut frontier = 0u64;
+            for _ in 0..48 {
+                match below(8) {
+                    0 => {
+                        frontier += below(6);
+                        table.compact(&Antichain::from_elem(frontier));
+                    }
+                    1 => {
+                        let map = (0..BINS).map(|_| below(WORKERS) as usize).collect();
+                        table.insert(frontier + below(12), &ControlInst::Map(map));
+                    }
+                    2 | 3 => {
+                        let instruction =
+                            ControlInst::Move(below(BINS as u64) as usize, below(WORKERS) as usize);
+                        table.insert(frontier + below(12), &instruction);
+                    }
+                    _ => {
+                        let time = frontier + below(16);
+                        let resolved = table.resolve(&time);
+                        assert_eq!(resolved.len(), BINS);
+                        for bin in 0..BINS {
+                            assert_eq!(
+                                resolved[bin],
+                                table.lookup(&time, bin),
+                                "seed {seed}: bin {bin} at time {time}"
+                            );
+                        }
+                        assert_eq!(table.assignment_at(&time), resolved.into_owned());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -314,6 +314,13 @@ impl<T: Timestamp, D: Data> Pusher<T, D> {
                 }
                 let route = Rc::clone(route);
                 let size = size.as_ref().map(Rc::clone);
+                // `deliver` takes the scratch buffers, so each push starts
+                // them at capacity 0: presize to twice the uniform share
+                // (the whole batch at two peers) rather than regrow per push.
+                let share = data.len().min(2 * data.len().div_ceil(self.peers));
+                for buffer in &mut self.buffers {
+                    buffer.reserve(share);
+                }
                 for record in data {
                     let target = (route(&record) % self.peers as u64) as usize;
                     // With an estimator, account each record's real payload;

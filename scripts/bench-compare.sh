@@ -8,7 +8,7 @@
 # '/'); the default set covers the hot paths CI guards:
 # routing_lookup, key_to_bin, bin_encode, exchange_throughput,
 # exchange_throughput_tcp, saturation, skew_reaction,
-# bin_migrate_large_durable, multi_tenant_steady.
+# bin_migrate_large_durable, multi_tenant_steady, stateful_overhead.
 # Override with BENCH_COMPARE_GROUPS (comma-separated). The factor defaults
 # to 2.0.
 set -euo pipefail
@@ -16,7 +16,7 @@ set -euo pipefail
 previous="${1:?usage: bench-compare.sh previous.csv current.csv [max-factor]}"
 current="${2:?usage: bench-compare.sh previous.csv current.csv [max-factor]}"
 factor="${3:-2.0}"
-groups="${BENCH_COMPARE_GROUPS:-routing_lookup,key_to_bin,bin_encode,exchange_throughput,exchange_throughput_tcp,saturation,skew_reaction,bin_migrate_large_durable,multi_tenant_steady}"
+groups="${BENCH_COMPARE_GROUPS:-routing_lookup,key_to_bin,bin_encode,exchange_throughput,exchange_throughput_tcp,saturation,skew_reaction,bin_migrate_large_durable,multi_tenant_steady,stateful_overhead}"
 
 # A first run of the gate (or a wiped bench cache) has no previous CSV. That
 # is a missing baseline, not a pass and not a regression: say so explicitly

@@ -181,6 +181,35 @@ fn multi_tenant_steady_is_in_the_tracked_set() {
 }
 
 #[test]
+fn stateful_overhead_is_in_the_tracked_set() {
+    // The F→S record path's end-to-end cost joined the guarded hot paths: a
+    // return of the fold-per-(batch, bin) path more than doubles
+    // `stateful_unary`'s run while the plain `exchange` + `unary` twin stays
+    // put, and must fail the gate.
+    let dir = temp_dir("overhead");
+    let previous = write_csv(
+        &dir,
+        "prev.csv",
+        &[
+            ("stateful_overhead/stateful_unary", 9_000_000.0),
+            ("stateful_overhead/exchange_unary", 2_600_000.0),
+        ],
+    );
+    let current = write_csv(
+        &dir,
+        "curr.csv",
+        &[
+            ("stateful_overhead/stateful_unary", 21_000_000.0),
+            ("stateful_overhead/exchange_unary", 2_700_000.0),
+        ],
+    );
+    let (ok, text) = run_compare(&previous, &current);
+    assert!(!ok, "a 2.3x stateful_unary regression must fail the gate, got:\n{text}");
+    assert!(text.contains("REGRESSION stateful_overhead/stateful_unary"), "output:\n{text}");
+    assert!(text.contains("ok stateful_overhead/exchange_unary"), "output:\n{text}");
+}
+
+#[test]
 fn missing_previous_csv_is_a_logged_skip_not_a_silent_pass() {
     // First run of the gate: no previous CSV exists at all. The script must
     // say "no baseline" and skip cleanly instead of erroring on the absent

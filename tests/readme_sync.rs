@@ -315,6 +315,40 @@ fn readme_documents_the_data_plane() {
 }
 
 #[test]
+fn readme_documents_the_in_process_record_path() {
+    // The F→S copy inventory must name the functions that implement it, and
+    // the per-batch grouping it replaced must not have come back.
+    let readme = read("README.md");
+    for needle in [
+        "In-process record path",
+        "route_batch",
+        "RoutingTable::resolve",
+        "prepend_due",
+        "three presized copies",
+        "tests/batching.rs",
+        "stateful_overhead",
+    ] {
+        assert!(readme.contains(needle), "In-process record path paragraph lost `{needle}`");
+    }
+    let operator = read("crates/megaphone/src/operator.rs");
+    for function in ["fn route_batch", "fn prepend_due", "fn process_bin"] {
+        assert!(operator.contains(function), "`{function}` vanished from operator.rs — update README");
+    }
+    assert!(
+        !operator.contains("BTreeMap<BinId"),
+        "operator.rs groups records through a BTreeMap again — README's inventory is stale"
+    );
+    let routing = read("crates/megaphone/src/routing.rs");
+    assert!(routing.contains("pub fn resolve"), "RoutingTable::resolve vanished — update README");
+    assert!(
+        repo_root().join("crates/megaphone/tests/batching.rs").exists(),
+        "the once-per-(time, bin) test README names is gone"
+    );
+    let bench = read("crates/bench/benches/steady_state.rs");
+    assert!(bench.contains("\"stateful_overhead\""), "the stateful_overhead bench group is gone");
+}
+
+#[test]
 fn readme_documents_scheduling() {
     // The scheduling section must keep the activation-source inventory, the
     // progress-coalescing budget and the park/wake ordering argument, and the
