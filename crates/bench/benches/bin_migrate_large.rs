@@ -121,13 +121,15 @@ fn bench_stall_chunked(c: &mut Criterion) {
 
 /// The chunked install driven through the durable backend: every fragment is
 /// WAL-appended before the assembler absorbs it and the commit record seals
-/// the install. The delta against `bin_migrate_large/chunked` is the price of
-/// durability on the migration path (fsync off — the process-crash model; the
+/// the install — nothing else: no memtable insert, no table write. The delta
+/// against `bin_migrate_large/chunked` is the price of durability on the
+/// migration path, one checksum pass and one kernel copy per byte (fsync off — the process-crash model; the
 /// per-iteration store open and directory reset happen in setup, untimed).
 fn bench_durable_install(c: &mut Criterion) {
     let mut group = c.benchmark_group("bin_migrate_large_durable/install");
     let root = std::env::temp_dir().join(format!("mp-bench-durable-{}", std::process::id()));
-    for (label, bytes) in SIZES {
+    // 1 MB is the benchmark's `hashcount_durable` bin: 16 fragments, one commit.
+    for (label, bytes) in SIZES.into_iter().chain([("1MB", 1 << 20)]) {
         let fragments = encode_fragments(bin_of(bytes), CHUNK_BYTES);
         let dir = root.join(label);
         group.bench_with_input(BenchmarkId::from_parameter(label), &fragments, |b, fragments| {

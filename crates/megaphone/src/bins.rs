@@ -32,8 +32,8 @@ use std::rc::Rc;
 
 use crate::codec::{Assembler, ChunkedCodec, Codec, Fragmenter};
 use crate::storage::{
-    DurableBackend, DurableConfig, Recovery, StorageBackend, StorageConfig, StorageError,
-    StorageStats,
+    DurableBackend, DurableConfig, FragmentRef, Recovery, StorageBackend, StorageConfig,
+    StorageError, StorageStats,
 };
 
 /// The identifier of one bin (an equivalence class of keys).
@@ -799,9 +799,38 @@ impl<T: Codec + 'static, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore
         bytes: &[u8],
         last: bool,
     ) -> Result<bool, StorageError> {
+        Ok(!self.try_install_fragments(&[(bin as u64, bytes, last)])?.is_empty())
+    }
+
+    /// Absorbs a batch of migration fragments `(bin, bytes, last)` in order —
+    /// everything one scheduling round received — and returns the bins whose
+    /// install completed. A durable store logs the whole batch in one append
+    /// before absorbing any of it; per fragment the guarantees are those of
+    /// [`BinStore::try_install_fragment`].
+    pub fn try_install_fragments(
+        &mut self,
+        fragments: &[FragmentRef<'_>],
+    ) -> Result<Vec<BinId>, StorageError> {
         if let Some(backend) = self.backend.as_mut() {
-            backend.append_fragment(bin as u64, bytes, last)?;
+            backend.append_fragments(fragments)?;
         }
+        let mut installed = Vec::new();
+        for &(bin, bytes, last) in fragments {
+            if self.absorb_logged_fragment(bin as BinId, bytes, last)? {
+                installed.push(bin as BinId);
+            }
+        }
+        Ok(installed)
+    }
+
+    /// Feeds one fragment the backend (if any) already logged to `bin`'s
+    /// assembler; on `last`, commits and installs the bin.
+    fn absorb_logged_fragment(
+        &mut self,
+        bin: BinId,
+        bytes: &[u8],
+        last: bool,
+    ) -> Result<bool, StorageError> {
         let assemblies = self.assemblies_mut();
         let entry = assemblies.entry(bin).or_insert_with(|| PartialInstall {
             assembler: Bin::<T, S, D>::assembler(),
@@ -882,7 +911,7 @@ impl<T: Codec + 'static, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore
             return Ok(false);
         }
         let image = self.try_bin(bin).expect("just checked").encode_to_vec();
-        self.backend.as_mut().expect("just checked").spill(bin as u64, &image)?;
+        self.backend.as_mut().expect("just checked").spill(bin as u64, image)?;
         let _ = self.extract(bin);
         self.spilled.insert(bin);
         Ok(true)
@@ -953,7 +982,8 @@ impl<T: Codec + 'static, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore
             .hosted()
             .map(|(bin, contents)| (bin as u64, contents.encode_to_vec()))
             .collect();
-        self.backend.as_mut().expect("just checked").checkpoint(&live)
+        let spilled: Vec<u64> = self.spilled.iter().map(|&bin| bin as u64).collect();
+        self.backend.as_mut().expect("just checked").checkpoint(live, &spilled)
     }
 
     /// Attaches `backend` to the store and overlays what it recovered:
@@ -1576,6 +1606,84 @@ mod tests {
         assert!(recovered);
         assert_eq!(store.try_bin(2), Some(&bin), "committed install recovers byte-identically");
         assert_eq!(store.load(2).bytes, bin.encode_to_vec().len() as u64);
+        let _ = std::fs::remove_dir_all(&durable.root);
+    }
+
+    #[test]
+    fn committed_installs_live_in_the_log_until_a_checkpoint_writes_the_table() {
+        let config = MegaphoneConfig::new(3).with_chunk_bytes(64 << 10);
+        // A 1-byte memtable budget: anything inserted would flush at once.
+        let durable = durable_config("no-table").with_memtable_bytes(1);
+        let dir = durable.store_dir("op", 0);
+        let tables_on_disk = || {
+            std::fs::read_dir(&dir)
+                .expect("list store")
+                .filter(|entry| {
+                    entry.as_ref().expect("entry").file_name().to_string_lossy().starts_with("sst-")
+                })
+                .count()
+        };
+        let image = |bin: usize, salt: u64| -> Bin<u64, Vec<u64>, (u64, u64)> {
+            Bin { state: (0..32 << 10).map(|i| i ^ salt ^ bin as u64).collect(), pending: Vec::new() }
+        };
+        let install = |store: &mut TestStore, bin: usize, contents: &Bin<u64, Vec<u64>, (u64, u64)>| {
+            let fragments = crate::codec::encode_fragments(contents.clone(), config.chunk_bytes);
+            assert!(fragments.len() >= 4, "256 KiB must span several 64 KiB fragments");
+            let last = fragments.len() - 1;
+            if bin.is_multiple_of(2) {
+                // The whole bin as one scheduling round's batch.
+                let batch: Vec<FragmentRef<'_>> = fragments
+                    .iter()
+                    .enumerate()
+                    .map(|(index, fragment)| (bin as u64, &fragment[..], index == last))
+                    .collect();
+                assert_eq!(store.try_install_fragments(&batch).expect("install"), vec![bin]);
+            } else {
+                for (index, fragment) in fragments.iter().enumerate() {
+                    let done = store.try_install_fragment(bin, fragment, index == last);
+                    assert_eq!(done.expect("install"), index == last);
+                }
+            }
+        };
+        let reopen_and_expect = |expected: &[Bin<u64, Vec<u64>, (u64, u64)>]| {
+            let (store, recovered) =
+                TestStore::open_durable(&config, &durable, "op", 0).expect("reopen");
+            assert!(recovered);
+            for (bin, contents) in expected.iter().enumerate() {
+                assert_eq!(store.try_bin(bin), Some(contents), "bin {bin} after reopen");
+            }
+            store
+        };
+
+        let mut bins: Vec<_> = (0..config.bins()).map(|bin| image(bin, 0)).collect();
+        {
+            let (mut store, _) = TestStore::open_durable(&config, &durable, "op", 0).expect("open");
+            for (bin, contents) in bins.iter().enumerate() {
+                install(&mut store, bin, contents);
+            }
+            let stats = store.storage_stats().expect("durable store has stats");
+            assert_eq!((stats.tables, stats.memtable_bytes, stats.compactions), (0, 0, 0));
+            assert_eq!(tables_on_disk(), 0, "a commit must not write a table");
+            // Dropped without a checkpoint: the log alone is the image.
+        }
+        let mut store = reopen_and_expect(&bins);
+
+        store.checkpoint().expect("checkpoint");
+        let stats = store.storage_stats().expect("stats");
+        assert_eq!((stats.tables, stats.wal_records, stats.checkpoints), (1, 0, 1));
+        assert_eq!(tables_on_disk(), 1, "the checkpoint writes exactly one table");
+        drop(store);
+        let mut store = reopen_and_expect(&bins);
+
+        // Retire → re-install → crash: the log's newer image must win over
+        // the checkpoint table's.
+        let extraction = store.try_extract_chunked(3).expect("retire").expect("hosted");
+        store.recycle(extraction);
+        bins[3] = image(3, 0xFFFF);
+        install(&mut store, 3, &bins[3]);
+        assert_eq!(tables_on_disk(), 1);
+        drop(store);
+        reopen_and_expect(&bins);
         let _ = std::fs::remove_dir_all(&durable.root);
     }
 

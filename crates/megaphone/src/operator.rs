@@ -371,25 +371,26 @@ where
             // its final fragment arrives, registering wake-ups for any pending
             // records it carried. Decoding happens fragment by fragment, so a
             // multi-megabyte bin never triggers one monolithic decode stall.
+            // A durable store logs a whole batch with one vectored append.
             s_state_in.for_each(|capability, migrations| {
-                for (_target, fragment) in migrations {
-                    let bin = fragment.bin as BinId;
-                    let installed =
-                        s_store.borrow_mut().install_fragment(bin, &fragment.bytes, fragment.last);
-                    if installed {
-                        let store = s_store.borrow();
-                        let contents = store.try_bin(bin).expect("bin just installed");
-                        let times: Vec<T> =
-                            contents.pending.iter().map(|(time, _)| time.clone()).collect();
-                        drop(store);
-                        for time in times {
-                            // Pending times can trail the migration's control
-                            // time when out-of-order input post-dated records
-                            // to already-closed times: clamp those to the
-                            // fragment's capability so they deliver
-                            // immediately after installation, exactly once.
-                            wakeups.push_at_clamped(time, &capability, bin);
-                        }
+                let batch: Vec<_> = migrations
+                    .iter()
+                    .map(|(_target, fragment)| (fragment.bin, &fragment.bytes[..], fragment.last))
+                    .collect();
+                let installed = s_store
+                    .borrow_mut()
+                    .try_install_fragments(&batch)
+                    .unwrap_or_else(|error| panic!("storage error installing bins: {error}"));
+                let store = s_store.borrow();
+                for bin in installed {
+                    let contents = store.try_bin(bin).expect("bin just installed");
+                    for (time, _) in &contents.pending {
+                        // Pending times can trail the migration's control
+                        // time when out-of-order input post-dated records
+                        // to already-closed times: clamp those to the
+                        // fragment's capability so they deliver
+                        // immediately after installation, exactly once.
+                        wakeups.push_at_clamped(time.clone(), &capability, bin);
                     }
                 }
             });

@@ -1,21 +1,30 @@
-//! Durable storage for bin state: a per-store write-ahead log with a
-//! memtable-front / SSTable-spill tier behind it.
+//! Durable storage for bin state: a per-store write-ahead log that *is* the
+//! committed image of every installed bin, with a memtable / SSTable tier
+//! behind it for the bins that left memory.
 //!
 //! The design reuses the migration wire format as the on-disk format
 //! (the PR 3 invariant: a bin's fragments concatenate byte-identically to its
 //! one-shot [`Codec`](crate::codec::Codec) encoding), so checkpoint, recovery
 //! and migration are one code path:
 //!
-//! * **Install**: every migration fragment is appended to the WAL *verbatim*
-//!   before it is absorbed in memory, and a commit record seals the install.
-//!   A crash between fragments recovers the in-flight `Assembler` state; a
-//!   crash after the commit recovers the whole bin.
+//! * **Install**: the migration fragments of a scheduling round are appended
+//!   to the WAL *verbatim*, in one vectored write, before they are absorbed
+//!   in memory, and a commit record seals the install. That is all a commit
+//!   does: the bin lives in memory, its fragments and commit record in the
+//!   log are its durable image, and no table is written on the migration
+//!   path. A crash between fragments recovers the in-flight `Assembler`
+//!   state; a crash after the commit recovers the whole bin.
 //! * **Spill**: a cold bin's full image is logged and moved to the memtable;
 //!   when the memtable exceeds its budget it flushes to an immutable
 //!   [`SsTable`], and a simple size-tiered compactor merges tables
-//!   newest-wins. Reads go memtable → tables (newest first), bloom-filtered.
-//! * **Checkpoint**: the live images are written as one full table and the
-//!   WAL rotates to a fresh generation, bounding replay work.
+//!   newest-wins. Only spilled bins are ever read back: memtable → tables
+//!   (newest first), bloom-filtered.
+//! * **Checkpoint**: the resident bins' images plus the spilled bins' stored
+//!   images are written as one full table and the WAL rotates to a fresh
+//!   generation, bounding replay work.
+//!
+//! Per migrated byte the install path costs one checksum pass and one copy
+//! (the kernel's, out of the received fragment); see [`wal`].
 //!
 //! Recovery ([`DurableBackend::open`]) loads tables oldest→newest, replays
 //! the newest WAL generation on top and returns the committed images plus the
@@ -27,7 +36,9 @@
 //! The failure model is fail-fast: any storage error poisons the backend and
 //! every subsequent operation returns [`StorageError::Poisoned`], so a
 //! half-written install can never be observed as applied (the in-memory
-//! install only happens after the commit record is durable).
+//! install only happens after the commit record is durable). No byte
+//! sequence on disk aborts the process: what fails validation surfaces as
+//! [`StorageError::Corrupt`].
 
 pub mod bloom;
 pub mod eviction;
@@ -42,7 +53,7 @@ use std::rc::Rc;
 pub use bloom::BloomFilter;
 pub use eviction::EvictionPolicy;
 pub use sstable::SsTable;
-pub use wal::{crc32, replay_bytes, Wal, WalRecord};
+pub use wal::{crc32, replay_bytes, Wal, WalEntry, WalRecord};
 
 /// Environment variable naming a default durable data root: when set, every
 /// worker without an explicit [`set_worker_storage`] call runs durable under
@@ -63,6 +74,9 @@ pub enum StorageError {
     },
     /// On-disk data failed validation (bad magic, short file, …).
     Corrupt(String),
+    /// A WAL record of this many payload bytes does not fit the frame's
+    /// `u32` length field; nothing was written.
+    RecordTooLarge(u64),
     /// The backend saw an earlier error and refuses further work.
     Poisoned,
     /// The operation cannot run right now (e.g. checkpoint during an
@@ -83,6 +97,9 @@ impl std::fmt::Display for StorageError {
         match self {
             StorageError::Io { op, source } => write!(f, "storage I/O error in {op}: {source}"),
             StorageError::Corrupt(what) => write!(f, "corrupt storage: {what}"),
+            StorageError::RecordTooLarge(bytes) => {
+                write!(f, "a WAL record of {bytes} bytes exceeds the 4 GiB frame limit")
+            }
             StorageError::Poisoned => write!(f, "storage backend poisoned by an earlier error"),
             StorageError::Busy(what) => write!(f, "storage busy: {what}"),
             StorageError::Injected(op) => write!(f, "injected fault in {op}"),
@@ -221,32 +238,43 @@ impl Recovery {
     }
 }
 
+/// One migration fragment handed to the log: `(bin, bytes, last)`.
+pub type FragmentRef<'a> = (u64, &'a [u8], bool);
+
 /// The operations a `BinStore` needs from its storage tier. Byte-level and
 /// object-safe: the store handles typed encode/decode, the backend handles
 /// durability.
 pub trait StorageBackend {
-    /// Logs one migration fragment of `bin` (verbatim) ahead of its in-memory
-    /// absorption.
-    fn append_fragment(&mut self, bin: u64, bytes: &[u8], last: bool) -> Result<(), StorageError>;
+    /// Logs migration fragments `(bin, bytes, last)` verbatim and in order,
+    /// in one append, ahead of their in-memory absorption.
+    fn append_fragments(&mut self, fragments: &[FragmentRef<'_>]) -> Result<(), StorageError>;
     /// Durably seals the install of `bin` (WAL commit record + sync). The
-    /// caller applies the install in memory only after this returns `Ok`.
+    /// caller applies the install in memory only after this returns `Ok`; the
+    /// log is the committed image until the next checkpoint.
     fn commit(&mut self, bin: u64, total_bytes: u64) -> Result<(), StorageError>;
     /// Marks `bin`'s stored image dead (the bin migrated away).
     fn retire(&mut self, bin: u64) -> Result<(), StorageError>;
     /// Durably stores `bin`'s full image (the bin is leaving memory).
-    fn spill(&mut self, bin: u64, image: &[u8]) -> Result<(), StorageError>;
-    /// Reads `bin`'s stored image: memtable first, then tables newest-first.
+    fn spill(&mut self, bin: u64, image: Vec<u8>) -> Result<(), StorageError>;
+    /// Reads a spilled bin's stored image: memtable first, then tables
+    /// newest-first. Only spilled bins have a stored image worth reading — a
+    /// committed install lives in memory and in the log.
     fn read(&mut self, bin: u64) -> Result<Option<Vec<u8>>, StorageError>;
-    /// Writes `live` (every resident bin's image) plus all stored images as
-    /// one full table and rotates the WAL, bounding future replay.
-    fn checkpoint(&mut self, live: &[(u64, Vec<u8>)]) -> Result<(), StorageError>;
+    /// Writes `live` (every resident bin's image, ascending by bin) plus the
+    /// stored images of the `spilled` bins as one full table and rotates the
+    /// WAL, bounding future replay.
+    fn checkpoint(
+        &mut self,
+        live: Vec<(u64, Vec<u8>)>,
+        spilled: &[u64],
+    ) -> Result<(), StorageError>;
     /// Makes every logged record durable.
     fn sync(&mut self) -> Result<(), StorageError>;
     /// Current counters.
     fn stats(&self) -> StorageStats;
 }
 
-/// The WAL + memtable + SSTable backend behind one bin store.
+/// The WAL + spill-tier (memtable, SSTables) backend behind one bin store.
 #[derive(Debug)]
 pub struct DurableBackend {
     dir: PathBuf,
@@ -255,7 +283,7 @@ pub struct DurableBackend {
     compact_at: usize,
     wal: Wal,
     wal_gen: u64,
-    /// Spilled / freshly installed images, bin → full image.
+    /// Spilled images not yet flushed to a table, bin → full image.
     memtable: BTreeMap<u64, Vec<u8>>,
     memtable_bytes: usize,
     /// Live tables, ascending sequence number (newest last).
@@ -264,9 +292,9 @@ pub struct DurableBackend {
     /// Bins retired since the last checkpoint: masked from reads and dropped
     /// by compaction; the WAL retire record carries them across a crash.
     tombstones: HashSet<u64>,
-    /// In-flight installs: concatenated fragment bytes, promoted to the
-    /// memtable at commit.
-    pending: HashMap<u64, Vec<u8>>,
+    /// In-flight installs: fragment bytes logged so far (the bytes themselves
+    /// live in the log and in the store's assembler).
+    pending: HashMap<u64, u64>,
     poisoned: bool,
     compactions: u64,
     checkpoints: u64,
@@ -346,7 +374,6 @@ impl DurableBackend {
                             image.len()
                         )));
                     }
-                    tombstones.remove(&bin);
                     images.insert(bin, image);
                 }
                 WalRecord::Retire { bin } => {
@@ -361,9 +388,11 @@ impl DurableBackend {
             }
         }
         let next_seq = tables.last().map_or(1, |table| table.seq() + 1);
-        // A resumed install's commit needs the already-replayed fragments.
-        let pending: HashMap<u64, Vec<u8>> =
-            partials.iter().map(|(bin, fragments)| (*bin, fragments.concat())).collect();
+        // A resumed install's commit checks its total against these.
+        let pending: HashMap<u64, u64> = partials
+            .iter()
+            .map(|(bin, fragments)| (*bin, fragments.iter().map(|f| f.len() as u64).sum()))
+            .collect();
         let recovery = Recovery {
             committed: images.into_iter().collect(),
             partial: partials.into_iter().collect(),
@@ -443,29 +472,34 @@ impl DurableBackend {
 }
 
 impl StorageBackend for DurableBackend {
-    fn append_fragment(&mut self, bin: u64, bytes: &[u8], last: bool) -> Result<(), StorageError> {
+    fn append_fragments(&mut self, fragments: &[FragmentRef<'_>]) -> Result<(), StorageError> {
         self.fallible(|backend| {
-            backend.wal.append(&WalRecord::Fragment { bin, last, bytes: bytes.to_vec() })?;
-            backend.pending.entry(bin).or_default().extend_from_slice(bytes);
+            backend.wal.append_all(
+                fragments.iter().map(|&(bin, bytes, last)| WalEntry::Fragment { bin, last, bytes }),
+            )?;
+            for &(bin, bytes, _) in fragments {
+                *backend.pending.entry(bin).or_default() += bytes.len() as u64;
+            }
             Ok(())
         })
     }
 
     fn commit(&mut self, bin: u64, total_bytes: u64) -> Result<(), StorageError> {
         self.fallible(|backend| {
-            backend.wal.append(&WalRecord::Commit { bin, total_bytes })?;
+            backend.wal.append_all([WalEntry::Commit { bin, total_bytes }])?;
             backend.wal.sync()?;
-            let image = backend.pending.remove(&bin).unwrap_or_default();
-            debug_assert_eq!(image.len() as u64, total_bytes, "pending bytes mismatch bin {bin}");
-            backend.tombstones.remove(&bin);
-            backend.memtable_insert(bin, image);
-            backend.maybe_flush()
+            // The fragments and this record in the log are the committed
+            // image until the next checkpoint; a tombstone of an earlier
+            // retire keeps masking whatever older image the tables hold.
+            let logged = backend.pending.remove(&bin).unwrap_or_default();
+            debug_assert_eq!(logged, total_bytes, "pending bytes mismatch bin {bin}");
+            Ok(())
         })
     }
 
     fn retire(&mut self, bin: u64) -> Result<(), StorageError> {
         self.fallible(|backend| {
-            backend.wal.append(&WalRecord::Retire { bin })?;
+            backend.wal.append_all([WalEntry::Retire { bin }])?;
             backend.wal.sync()?;
             if let Some(old) = backend.memtable.remove(&bin) {
                 backend.memtable_bytes -= old.len();
@@ -476,12 +510,12 @@ impl StorageBackend for DurableBackend {
         })
     }
 
-    fn spill(&mut self, bin: u64, image: &[u8]) -> Result<(), StorageError> {
+    fn spill(&mut self, bin: u64, image: Vec<u8>) -> Result<(), StorageError> {
         self.fallible(|backend| {
-            backend.wal.append(&WalRecord::Spill { bin, image: image.to_vec() })?;
+            backend.wal.append_all([WalEntry::Spill { bin, image: &image }])?;
             backend.wal.sync()?;
             backend.tombstones.remove(&bin);
-            backend.memtable_insert(bin, image.to_vec());
+            backend.memtable_insert(bin, image);
             backend.maybe_flush()
         })
     }
@@ -502,30 +536,29 @@ impl StorageBackend for DurableBackend {
         Ok(None)
     }
 
-    fn checkpoint(&mut self, live: &[(u64, Vec<u8>)]) -> Result<(), StorageError> {
+    fn checkpoint(
+        &mut self,
+        live: Vec<(u64, Vec<u8>)>,
+        spilled: &[u64],
+    ) -> Result<(), StorageError> {
         if !self.pending.is_empty() {
             // A WAL rotation would discard the in-flight fragments.
             return Err(StorageError::Busy("in-flight installs block checkpoint"));
         }
         self.fallible(|backend| {
-            // Merge: stored images (oldest table → memtable), minus
-            // tombstones, overlaid by the caller's live images.
-            let mut merged: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-            for table in &backend.tables {
-                for (bin, image) in table.read_all()? {
-                    merged.insert(bin, image);
-                }
+            // The caller's live images plus the stored image of every spilled
+            // bin; whatever else the tables hold is stale and dies with them.
+            let mut entries = live;
+            for &bin in spilled {
+                let image = match backend.memtable.remove(&bin) {
+                    Some(image) => image,
+                    None => backend.read(bin)?.ok_or_else(|| {
+                        StorageError::Corrupt(format!("spilled bin {bin} has no stored image"))
+                    })?,
+                };
+                entries.push((bin, image));
             }
-            for (bin, image) in &backend.memtable {
-                merged.insert(*bin, image.clone());
-            }
-            for bin in &backend.tombstones {
-                merged.remove(bin);
-            }
-            for (bin, image) in live {
-                merged.insert(*bin, image.clone());
-            }
-            let entries: Vec<(u64, Vec<u8>)> = merged.into_iter().collect();
+            entries.sort_unstable_by_key(|(bin, _)| *bin);
             // Order matters for crash safety: full table first, then a fresh
             // WAL generation, then delete the old log and old tables. A crash
             // anywhere in between recovers correctly (duplicates are
@@ -710,8 +743,7 @@ mod tests {
         let dir = temp_dir("committed");
         {
             let (mut backend, _) = open(&dir);
-            backend.append_fragment(5, &[1, 2, 3], false).expect("append");
-            backend.append_fragment(5, &[4, 5], true).expect("append");
+            backend.append_fragments(&[(5, &[1, 2, 3], false), (5, &[4, 5], true)]).expect("append");
             backend.commit(5, 5).expect("commit");
         }
         let (_, recovery) = open(&dir);
@@ -725,8 +757,8 @@ mod tests {
         let dir = temp_dir("partial");
         {
             let (mut backend, _) = open(&dir);
-            backend.append_fragment(9, &[1, 2, 3], false).expect("append");
-            backend.append_fragment(9, &[4], false).expect("append");
+            backend.append_fragments(&[(9, &[1, 2, 3], false)]).expect("append");
+            backend.append_fragments(&[(9, &[4], false)]).expect("append");
             backend.sync().expect("sync");
         }
         let (_, recovery) = open(&dir);
@@ -740,7 +772,7 @@ mod tests {
         let dir = temp_dir("retire");
         {
             let (mut backend, _) = open(&dir);
-            backend.spill(2, &[7; 16]).expect("spill");
+            backend.spill(2, vec![7; 16]).expect("spill");
             backend.retire(2).expect("retire");
         }
         let (mut backend, recovery) = open(&dir);
@@ -755,7 +787,7 @@ mod tests {
         let (mut backend, _) =
             DurableBackend::open_dir(&dir, false, 64, 4).expect("open backend");
         for bin in 0..8u64 {
-            backend.spill(bin, &[bin as u8; 32]).expect("spill");
+            backend.spill(bin, vec![bin as u8; 32]).expect("spill");
         }
         let stats = backend.stats();
         assert!(stats.tables > 0, "tiny memtable budget must have flushed");
@@ -774,7 +806,7 @@ mod tests {
         for round in 0..4u64 {
             // Overwrite the same bins each round: newest must win.
             for bin in 0..3u64 {
-                backend.spill(bin, &[(round * 10 + bin) as u8; 24]).expect("spill");
+                backend.spill(bin, vec![(round * 10 + bin) as u8; 24]).expect("spill");
             }
         }
         let stats = backend.stats();
@@ -790,11 +822,12 @@ mod tests {
         let dir = temp_dir("checkpoint");
         {
             let (mut backend, _) = open(&dir);
-            backend.spill(1, &[1; 8]).expect("spill");
-            backend.append_fragment(2, &[2; 8], true).expect("append");
+            backend.spill(1, vec![1; 8]).expect("spill");
+            backend.append_fragments(&[(2, &[2; 8], true)]).expect("append");
             backend.commit(2, 8).expect("commit");
-            let live = vec![(3u64, vec![3; 8])];
-            backend.checkpoint(&live).expect("checkpoint");
+            // The committed bin is resident, so the store passes it as live.
+            let live = vec![(2u64, vec![2; 8]), (3, vec![3; 8])];
+            backend.checkpoint(live, &[1]).expect("checkpoint");
             assert_eq!(backend.stats().wal_records, 0, "rotation empties the log");
             assert_eq!(backend.stats().tables, 1, "one full-image table remains");
         }
@@ -808,12 +841,12 @@ mod tests {
     fn checkpoint_refuses_in_flight_installs() {
         let dir = temp_dir("busy");
         let (mut backend, _) = open(&dir);
-        backend.append_fragment(4, &[1], false).expect("append");
-        assert!(matches!(backend.checkpoint(&[]), Err(StorageError::Busy(_))));
+        backend.append_fragments(&[(4, &[1], false)]).expect("append");
+        assert!(matches!(backend.checkpoint(Vec::new(), &[]), Err(StorageError::Busy(_))));
         // Not poisoned: completing the install unblocks the checkpoint.
-        backend.append_fragment(4, &[2], true).expect("append");
+        backend.append_fragments(&[(4, &[2], true)]).expect("append");
         backend.commit(4, 2).expect("commit");
-        backend.checkpoint(&[]).expect("checkpoint after commit");
+        backend.checkpoint(vec![(4, vec![1, 2])], &[]).expect("checkpoint after commit");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -822,7 +855,7 @@ mod tests {
         let dir = temp_dir("poison");
         let (mut backend, _) = open(&dir);
         backend.poisoned = true;
-        assert!(matches!(backend.append_fragment(0, &[1], true), Err(StorageError::Poisoned)));
+        assert!(matches!(backend.append_fragments(&[(0, &[1], true)]), Err(StorageError::Poisoned)));
         assert!(matches!(backend.read(0), Err(StorageError::Poisoned)));
         assert!(matches!(backend.sync(), Err(StorageError::Poisoned)));
         let _ = std::fs::remove_dir_all(&dir);

@@ -18,12 +18,13 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{IoSlice, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::codec::Codec;
 
 use super::bloom::BloomFilter;
+use super::wal::write_all_vectored;
 use super::{fault_tick, StorageError};
 
 const MAGIC: u32 = 0x4D50_5354; // "MPST"
@@ -67,25 +68,36 @@ impl SsTable {
             "sstable entries must be sorted by bin with no duplicates"
         );
         let path = dir.join(table_file_name(seq));
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        (entries.len() as u64).encode(&mut buf);
+        let mut header = Vec::with_capacity(16);
+        header.extend_from_slice(&MAGIC.to_le_bytes());
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        (entries.len() as u64).encode(&mut header);
+        // Images are written from where they lie: only the per-entry
+        // `[bin][len]` heads and the footer are staged.
+        let mut heads = Vec::with_capacity(entries.len() * 16);
         let mut index = Vec::with_capacity(entries.len());
         let mut bloom = BloomFilter::new(entries.len(), BLOOM_BITS_PER_KEY);
+        let mut data_bytes = header.len() as u64;
         for (bin, image) in entries {
-            bin.encode(&mut buf);
-            (image.len() as u64).encode(&mut buf);
-            index.push((*bin, buf.len() as u64, image.len() as u64));
-            buf.extend_from_slice(image);
+            bin.encode(&mut heads);
+            (image.len() as u64).encode(&mut heads);
+            index.push((*bin, data_bytes + 16, image.len() as u64));
+            data_bytes += 16 + image.len() as u64;
             bloom.insert(*bin);
         }
-        let data_bytes = buf.len() as u64;
-        index.encode(&mut buf);
-        bloom.encode(&mut buf);
-        let footer_len = buf.len() as u64 - data_bytes;
-        buf.extend_from_slice(&footer_len.to_le_bytes());
-        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        let mut footer = Vec::new();
+        index.encode(&mut footer);
+        bloom.encode(&mut footer);
+        let footer_len = footer.len() as u64;
+        footer.extend_from_slice(&footer_len.to_le_bytes());
+        footer.extend_from_slice(&MAGIC.to_le_bytes());
+        let mut slices = Vec::with_capacity(2 * entries.len() + 2);
+        slices.push(IoSlice::new(&header));
+        for (head, (_, image)) in heads.chunks_exact(16).zip(entries) {
+            slices.push(IoSlice::new(head));
+            slices.push(IoSlice::new(image));
+        }
+        slices.push(IoSlice::new(&footer));
 
         let mut file = OpenOptions::new()
             .write(true)
@@ -93,7 +105,7 @@ impl SsTable {
             .truncate(true)
             .open(&path)
             .map_err(|e| StorageError::io("sst-create", e))?;
-        file.write_all(&buf).map_err(|e| StorageError::io("sst-write", e))?;
+        write_all_vectored(&mut file, &mut slices).map_err(|e| StorageError::io("sst-write", e))?;
         if fsync {
             file.sync_data().map_err(|e| StorageError::io("sst-sync", e))?;
         }
@@ -282,7 +294,7 @@ mod tests {
         }
         assert_eq!(written.get(1).expect("get"), None, "absent bin");
         assert_eq!(reopened.read_all().expect("read_all"), entries);
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -297,7 +309,7 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).expect("corrupt");
         assert!(matches!(SsTable::open(&path), Err(StorageError::Corrupt(_))));
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -324,6 +336,6 @@ mod tests {
             .map(|entry| entry.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(files, vec![table_file_name(3)]);
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,32 +1,47 @@
 //! The per-store append-only write-ahead log.
 //!
 //! Every record is framed as `[payload_len: u32 LE][crc32(payload): u32 LE]
-//! [payload]`, where the payload is the [`Codec`] encoding of a [`WalRecord`].
-//! Migration fragments are logged verbatim — the `bytes` of a
+//! [payload]`, where the payload is a [`WalRecord`]: a one-byte tag, the bin
+//! id, and for the two records that carry bytes a `u64` length followed by
+//! the bytes. Migration fragments are logged verbatim — the `bytes` of a
 //! [`WalRecord::Fragment`] are exactly one `Fragmenter` fragment, so replaying
 //! the log re-feeds an in-flight `Assembler` the identical byte stream it saw
 //! before the crash (fragments may only split at encoding-unit boundaries, so
 //! the original boundaries must be preserved, not re-chunked).
 //!
+//! **One checksum pass, one copy.** The writer ([`Wal::append_all`]) takes
+//! records that *borrow* their bytes ([`WalEntry`]): it stamps
+//! `[len][crc][tag][bin][last][bytes len]` into a small stack prefix,
+//! checksums prefix and bytes in one incremental slicing-by-16 pass, and
+//! hands `[prefix][bytes]` of every record of the batch to the kernel in one
+//! vectored write. The only copy a logged byte makes is the kernel's.
+//!
 //! Recovery tolerates a torn tail: [`replay_bytes`] stops at the first frame
 //! whose header is short, whose payload is truncated, or whose checksum does
 //! not match, and [`Wal::open`] truncates the file back to the last valid
 //! frame so subsequent appends continue from a clean prefix. Earlier records
-//! are never affected by a torn or corrupt tail.
+//! are never affected by a torn or corrupt tail. A frame that passes its
+//! checksum yet is not a record (unknown tag, inner length disagreeing with
+//! the frame) cannot be a torn write; `open` refuses the log with
+//! [`StorageError::Corrupt`] rather than aborting or truncating it.
 
 use std::fs::OpenOptions;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{IoSlice, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-use crate::codec::Codec;
 
 use super::{fault_tick, StorageError};
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Input bytes folded into the checksum per step (slicing-by-16).
+const CRC_SLICES: usize = 16;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected) slicing tables, built at compile time.
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is the CRC
+/// of byte `b` followed by `k` zero bytes, which lets [`CRC_SLICES`] input
+/// bytes fold into the state with as many independent lookups.
+const CRC_TABLES: [[u32; 256]; CRC_SLICES] = build_crc_tables();
+
+const fn build_crc_tables() -> [[u32; 256]; CRC_SLICES] {
+    let mut tables = [[0u32; 256]; CRC_SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -35,24 +50,56 @@ const fn build_crc_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < CRC_SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let shorter = tables[k - 1][i];
+            tables[k][i] = tables[0][(shorter & 0xFF) as usize] ^ (shorter >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Folds `bytes` into the running (inverted) CRC state `crc`, so a checksum
+/// can span several slices: start from `u32::MAX`, invert the final state.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let tables = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(CRC_SLICES);
+    for chunk in &mut chunks {
+        // The state only meets the chunk's first four bytes; byte `i` is
+        // followed by `CRC_SLICES - 1 - i` bytes of this chunk.
+        let head = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        crc = 0;
+        for (i, &byte) in head.to_le_bytes().iter().enumerate() {
+            crc ^= tables[CRC_SLICES - 1 - i][byte as usize];
+        }
+        for (i, &byte) in chunk.iter().enumerate().skip(4) {
+            crc ^= tables[CRC_SLICES - 1 - i][byte as usize];
+        }
+    }
+    for &byte in chunks.remainder() {
+        crc = tables[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
 }
 
 /// The CRC-32 (IEEE) checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &byte in bytes {
-        crc = CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
+    !crc32_update(u32::MAX, bytes)
 }
 
-/// One logical record of the write-ahead log.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WalRecord {
+/// One logical record of the write-ahead log. Replay returns records that own
+/// their bytes (`B = Vec<u8>`, the default); the writer takes records that
+/// borrow them ([`WalEntry`]), so fragment and image bytes go from the
+/// caller's buffer to the kernel without an intermediate copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WalRecord<B = Vec<u8>> {
     /// One migration fragment of `bin`, byte-for-byte as produced by the
     /// bin's `Fragmenter` (and as shipped on the wire).
     Fragment {
@@ -61,7 +108,7 @@ pub enum WalRecord {
         /// Whether this is the bin's final fragment.
         last: bool,
         /// The fragment's slice of the bin's canonical encoding.
-        bytes: Vec<u8>,
+        bytes: B,
     },
     /// Seals an install: the bin's fragments are complete and the install was
     /// applied. A bin without a commit record is an in-flight install.
@@ -83,80 +130,182 @@ pub enum WalRecord {
         /// The spilled bin.
         bin: u64,
         /// The bin's one-shot `Codec` encoding.
-        image: Vec<u8>,
+        image: B,
     },
 }
 
-impl Codec for WalRecord {
-    fn encode(&self, bytes: &mut Vec<u8>) {
+/// A [`WalRecord`] that borrows its bytes: what [`Wal::append_all`] writes.
+pub type WalEntry<'a> = WalRecord<&'a [u8]>;
+
+impl WalRecord {
+    /// The record with its bytes borrowed, as the writer takes it.
+    pub fn as_entry(&self) -> WalEntry<'_> {
         match self {
-            WalRecord::Fragment { bin, last, bytes: payload } => {
-                0u8.encode(bytes);
-                bin.encode(bytes);
-                last.encode(bytes);
-                payload.encode(bytes);
+            WalRecord::Fragment { bin, last, bytes } => {
+                WalEntry::Fragment { bin: *bin, last: *last, bytes }
             }
             WalRecord::Commit { bin, total_bytes } => {
-                1u8.encode(bytes);
-                bin.encode(bytes);
-                total_bytes.encode(bytes);
+                WalEntry::Commit { bin: *bin, total_bytes: *total_bytes }
             }
-            WalRecord::Retire { bin } => {
-                2u8.encode(bytes);
-                bin.encode(bytes);
-            }
-            WalRecord::Spill { bin, image } => {
-                3u8.encode(bytes);
-                bin.encode(bytes);
-                image.encode(bytes);
-            }
+            WalRecord::Retire { bin } => WalEntry::Retire { bin: *bin },
+            WalRecord::Spill { bin, image } => WalEntry::Spill { bin: *bin, image },
         }
     }
-    fn decode(bytes: &mut &[u8]) -> Self {
-        match u8::decode(bytes) {
-            0 => WalRecord::Fragment {
-                bin: u64::decode(bytes),
-                last: bool::decode(bytes),
-                bytes: Vec::decode(bytes),
-            },
-            1 => WalRecord::Commit { bin: u64::decode(bytes), total_bytes: u64::decode(bytes) },
-            2 => WalRecord::Retire { bin: u64::decode(bytes) },
-            3 => WalRecord::Spill { bin: u64::decode(bytes), image: Vec::decode(bytes) },
-            tag => panic!("unknown WAL record tag {tag} (checksummed frame should prevent this)"),
+
+    /// Decodes one checksum-valid frame payload; `None` when it is not a
+    /// record (unknown tag, or an inner length that disagrees with the frame).
+    fn decode(payload: &[u8]) -> Option<WalRecord> {
+        fn take<'a>(rest: &mut &'a [u8], len: u64) -> Option<&'a [u8]> {
+            let len = usize::try_from(len).ok().filter(|len| *len <= rest.len())?;
+            let (head, tail) = rest.split_at(len);
+            *rest = tail;
+            Some(head)
         }
+        fn take_u64(rest: &mut &[u8]) -> Option<u64> {
+            Some(u64::from_le_bytes(take(rest, 8)?.try_into().expect("8 bytes")))
+        }
+        let mut rest = payload;
+        let tag = take(&mut rest, 1)?[0];
+        let bin = take_u64(&mut rest)?;
+        let record = match tag {
+            0 => {
+                let last = take(&mut rest, 1)?[0] != 0;
+                let len = take_u64(&mut rest)?;
+                WalRecord::Fragment { bin, last, bytes: take(&mut rest, len)?.to_vec() }
+            }
+            1 => WalRecord::Commit { bin, total_bytes: take_u64(&mut rest)? },
+            2 => WalRecord::Retire { bin },
+            3 => {
+                let len = take_u64(&mut rest)?;
+                WalRecord::Spill { bin, image: take(&mut rest, len)?.to_vec() }
+            }
+            _ => return None,
+        };
+        rest.is_empty().then_some(record)
     }
 }
 
 /// Bytes of the frame header preceding every payload.
 const FRAME_HEADER: usize = 8;
+/// The longest stamped prefix: the frame header plus a fragment's
+/// `[tag][bin u64][last][len u64]` head.
+const PREFIX_MAX: usize = FRAME_HEADER + 18;
+/// Most records gathered into one vectored write: two I/O slices each, well
+/// under `IOV_MAX`.
+const APPEND_BATCH: usize = 32;
 
-/// Decodes every complete, checksum-valid frame from the front of `bytes`.
-///
-/// Returns the decoded records and the byte offset of the end of the last
-/// valid frame. A torn or corrupt tail (short header, truncated payload, or
-/// checksum mismatch) stops the replay without touching earlier records and
-/// without panicking.
-pub fn replay_bytes(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
+/// The frame's `u32` length field for a payload of `head + tail` bytes. A
+/// payload of 4 GiB or more cannot be framed and is refused.
+fn frame_len(head: usize, tail: usize) -> Result<u32, StorageError> {
+    let len = (head as u64).saturating_add(tail as u64);
+    u32::try_from(len).map_err(|_| StorageError::RecordTooLarge(len))
+}
+
+impl<'a> WalRecord<&'a [u8]> {
+    /// Stamps `[len u32][crc u32]` and the record's fixed-size head into
+    /// `prefix`, checksumming head and byte tail in one incremental pass.
+    /// Returns the stamped length and the tail that follows it on disk.
+    fn stamp(self, prefix: &mut [u8; PREFIX_MAX]) -> Result<(usize, &'a [u8]), StorageError> {
+        let mut at = FRAME_HEADER;
+        let mut put = |bytes: &[u8]| {
+            prefix[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        };
+        let tail: &[u8] = match self {
+            WalEntry::Fragment { bin, last, bytes } => {
+                put(&[0]);
+                put(&bin.to_le_bytes());
+                put(&[u8::from(last)]);
+                put(&(bytes.len() as u64).to_le_bytes());
+                bytes
+            }
+            WalEntry::Commit { bin, total_bytes } => {
+                put(&[1]);
+                put(&bin.to_le_bytes());
+                put(&total_bytes.to_le_bytes());
+                &[]
+            }
+            WalEntry::Retire { bin } => {
+                put(&[2]);
+                put(&bin.to_le_bytes());
+                &[]
+            }
+            WalEntry::Spill { bin, image } => {
+                put(&[3]);
+                put(&bin.to_le_bytes());
+                put(&(image.len() as u64).to_le_bytes());
+                image
+            }
+        };
+        let len = frame_len(at - FRAME_HEADER, tail.len())?;
+        let crc = !crc32_update(crc32_update(u32::MAX, &prefix[FRAME_HEADER..at]), tail);
+        prefix[..4].copy_from_slice(&len.to_le_bytes());
+        prefix[4..FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+        Ok((at, tail))
+    }
+}
+
+/// Writes every byte of `slices` with vectored writes, resuming after a
+/// partial write mid-slice.
+pub(super) fn write_all_vectored(
+    out: &mut impl Write,
+    mut slices: &mut [IoSlice<'_>],
+) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut slices, 0); // drop leading empty slices
+    while !slices.is_empty() {
+        match out.write_vectored(slices) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(written) => IoSlice::advance_slices(&mut slices, written),
+            Err(error) if error.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(error) => return Err(error),
+        }
+    }
+    Ok(())
+}
+
+/// Replays the front of `bytes`: the decoded records, the offset of the end
+/// of the last good frame, and `Err` when replay stopped at a frame whose
+/// checksum holds but whose payload is not a record.
+fn replay(bytes: &[u8]) -> (Vec<WalRecord>, usize, Result<(), StorageError>) {
     let mut records = Vec::new();
     let mut offset = 0usize;
     loop {
         let remaining = bytes.len() - offset;
         if remaining < FRAME_HEADER {
-            return (records, offset);
+            return (records, offset, Ok(()));
         }
         let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"))
             as usize;
         let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().expect("4 bytes"));
         if remaining - FRAME_HEADER < len {
-            return (records, offset);
+            return (records, offset, Ok(()));
         }
         let payload = &bytes[offset + FRAME_HEADER..offset + FRAME_HEADER + len];
         if crc32(payload) != crc {
-            return (records, offset);
+            return (records, offset, Ok(()));
         }
-        records.push(WalRecord::decode_from_slice(payload));
+        let Some(record) = WalRecord::decode(payload) else {
+            let corrupt = StorageError::Corrupt(format!(
+                "WAL frame at byte offset {offset} passes its checksum but is not a record \
+                 (unknown tag {:?} or an inner length that disagrees with its {len}-byte frame)",
+                payload.first()
+            ));
+            return (records, offset, Err(corrupt));
+        };
+        records.push(record);
         offset += FRAME_HEADER + len;
     }
+}
+
+/// Decodes every complete, checksum-valid frame from the front of `bytes`.
+///
+/// Returns the decoded records and the byte offset of the end of the last
+/// valid frame. A torn or corrupt tail (short header, truncated payload,
+/// checksum mismatch, or a payload that is not a record) stops the replay
+/// without touching earlier records and without panicking.
+pub fn replay_bytes(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
+    let (records, valid, _) = replay(bytes);
+    (records, valid)
 }
 
 /// An open write-ahead log file, positioned for appending.
@@ -172,7 +321,10 @@ pub struct Wal {
 impl Wal {
     /// Opens (creating if absent) the log at `path`, replays its valid prefix
     /// and truncates any torn tail. Returns the log positioned for appending
-    /// plus the replayed records.
+    /// plus the replayed records. A frame that passes its checksum but is not
+    /// a record is not a torn tail: the open fails with
+    /// [`StorageError::Corrupt`] naming its byte offset and leaves the file
+    /// untouched.
     pub fn open(path: &Path, fsync: bool) -> Result<(Wal, Vec<WalRecord>), StorageError> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -183,7 +335,8 @@ impl Wal {
             .map_err(|e| StorageError::io("wal-open", e))?;
         let mut contents = Vec::new();
         file.read_to_end(&mut contents).map_err(|e| StorageError::io("wal-read", e))?;
-        let (records, valid) = replay_bytes(&contents);
+        let (records, valid, decoded) = replay(&contents);
+        decoded?;
         if valid < contents.len() {
             file.set_len(valid as u64).map_err(|e| StorageError::io("wal-truncate", e))?;
         }
@@ -201,15 +354,43 @@ impl Wal {
     /// Appends one record (framed and checksummed). Durability requires a
     /// subsequent [`Wal::sync`].
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StorageError> {
-        fault_tick("wal-append")?;
-        let payload = record.encode_to_vec();
-        let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame).map_err(|e| StorageError::io("wal-append", e))?;
-        self.bytes += frame.len() as u64;
-        self.records += 1;
+        self.append_all([record.as_entry()])
+    }
+
+    /// Appends `entries` in order, framed and checksummed, gathering up to
+    /// 32 records into one vectored write: each record's
+    /// `[len][crc][head]` is stamped into a stack prefix and its bytes are
+    /// written from where they lie. A record too large to frame is refused
+    /// before any byte of its batch is written. Durability requires a
+    /// subsequent [`Wal::sync`].
+    pub fn append_all<'a>(
+        &mut self,
+        entries: impl IntoIterator<Item = WalEntry<'a>>,
+    ) -> Result<(), StorageError> {
+        let mut entries = entries.into_iter().peekable();
+        while entries.peek().is_some() {
+            let mut prefixes = [[0u8; PREFIX_MAX]; APPEND_BATCH];
+            let mut frames: [(usize, &[u8]); APPEND_BATCH] = [(0, &[]); APPEND_BATCH];
+            let mut count = 0;
+            for (prefix, entry) in prefixes.iter_mut().zip(entries.by_ref()) {
+                fault_tick("wal-append")?;
+                frames[count] = entry.stamp(prefix)?;
+                count += 1;
+            }
+            let mut slices = [IoSlice::new(&[]); 2 * APPEND_BATCH];
+            let mut framed = 0;
+            for (index, (prefix, (stamped, tail))) in
+                prefixes.iter().zip(frames).take(count).enumerate()
+            {
+                slices[2 * index] = IoSlice::new(&prefix[..stamped]);
+                slices[2 * index + 1] = IoSlice::new(tail);
+                framed += stamped + tail.len();
+            }
+            write_all_vectored(&mut self.file, &mut slices[..2 * count])
+                .map_err(|e| StorageError::io("wal-append", e))?;
+            self.bytes += framed as u64;
+            self.records += count as u64;
+        }
         Ok(())
     }
 
@@ -256,6 +437,177 @@ mod tests {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bytewise table CRC the log was first written with: the reference
+    /// the sliced implementation must agree with on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &byte in bytes {
+            crc = CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    /// A deterministic xorshift64 byte stream.
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed.max(1);
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        let buffer = seeded_bytes(0x5EED, 257 + 8);
+        for align in 0..8 {
+            for len in 0..=257 {
+                let bytes = &buffer[align..align + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "align {align} len {len}");
+            }
+        }
+        for seed in 1..=3 {
+            let bytes = seeded_bytes(seed, 1 << 20);
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "seed {seed}");
+            // Incremental folding over an arbitrary split is the same checksum.
+            let (head, tail) = bytes.split_at(seed as usize * 1000 + 7);
+            assert_eq!(!crc32_update(crc32_update(u32::MAX, head), tail), crc32(&bytes));
+        }
+    }
+
+    /// A five-record log, one of each variant plus an empty final fragment,
+    /// as written by the copying, bytewise-CRC writer this module replaced.
+    const GOLDEN_LOG_HEX: &str = "\
+        1d0000002756d84a000300000000000000000b000000000000000102030405060708090a0b\
+        120000008a80fa2300030000000000000001000000000000000011000000\
+        5a92eb3a0103000000000000000b00000000000000\
+        09000000640e1108020807060504030201\
+        26000000f7934fc1030700000000000000150000000000000000254a6f94b9de03284d7297bce1062b50759abfe4";
+
+    fn golden_records() -> Vec<WalRecord> {
+        vec![
+            WalRecord::Fragment { bin: 3, last: false, bytes: (1..=11).collect() },
+            WalRecord::Fragment { bin: 3, last: true, bytes: vec![] },
+            WalRecord::Commit { bin: 3, total_bytes: 11 },
+            WalRecord::Retire { bin: 0x0102_0304_0506_0708 },
+            WalRecord::Spill { bin: 7, image: (0u8..21).map(|b| b.wrapping_mul(37)).collect() },
+        ]
+    }
+
+    #[test]
+    fn golden_log_replays_and_is_reproduced_byte_for_byte() {
+        let golden: Vec<u8> = GOLDEN_LOG_HEX
+            .as_bytes()
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).expect("ascii"), 16).expect("hex"))
+            .collect();
+        let (replayed, valid) = replay_bytes(&golden);
+        assert_eq!(valid, golden.len(), "every golden frame must pass its checksum");
+        assert_eq!(replayed, golden_records());
+
+        let path = temp_path("golden.log");
+        let _ = std::fs::remove_file(&path);
+        let (mut wal, _) = Wal::open(&path, false).expect("open");
+        for record in golden_records() {
+            wal.append(&record).expect("append");
+        }
+        wal.sync().expect("sync");
+        assert_eq!(wal.bytes(), golden.len() as u64);
+        assert_eq!(std::fs::read(&path).expect("read"), golden, "the on-disk format must not move");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn owned_and_borrowed_appends_write_identical_bytes() {
+        let fragments = [seeded_bytes(7, 3000), Vec::new(), seeded_bytes(9, 17)];
+        let owned = temp_path("owned.log");
+        let borrowed = temp_path("borrowed.log");
+        for path in [&owned, &borrowed] {
+            let _ = std::fs::remove_file(path);
+        }
+        let (mut wal, _) = Wal::open(&owned, false).expect("open");
+        for (index, bytes) in fragments.iter().enumerate() {
+            let record = WalRecord::Fragment { bin: 5, last: index == 2, bytes: bytes.clone() };
+            wal.append(&record).expect("append");
+        }
+        wal.sync().expect("sync");
+        // One batched, borrowed append of the same fragments.
+        let (mut wal, _) = Wal::open(&borrowed, false).expect("open");
+        wal.append_all(
+            fragments
+                .iter()
+                .enumerate()
+                .map(|(index, bytes)| WalEntry::Fragment { bin: 5, last: index == 2, bytes }),
+        )
+        .expect("append_all");
+        wal.sync().expect("sync");
+        assert_eq!(wal.records(), 3);
+        assert_eq!(std::fs::read(&owned).expect("read"), std::fs::read(&borrowed).expect("read"));
+        for path in [&owned, &borrowed] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    #[test]
+    fn batches_longer_than_one_vectored_write_keep_their_order() {
+        let path = temp_path("long-batch.log");
+        let _ = std::fs::remove_file(&path);
+        let records: Vec<WalRecord> = (0..(2 * APPEND_BATCH as u64 + 5))
+            .map(|bin| WalRecord::Fragment { bin, last: false, bytes: vec![bin as u8; bin as usize] })
+            .collect();
+        let (mut wal, _) = Wal::open(&path, false).expect("open");
+        wal.append_all(records.iter().map(WalRecord::as_entry)).expect("append_all");
+        wal.sync().expect("sync");
+        drop(wal);
+        let (wal, recovered) = Wal::open(&path, false).expect("reopen");
+        assert_eq!(recovered, records);
+        assert_eq!(wal.bytes(), std::fs::metadata(&path).expect("stat").len());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn records_of_4_gib_or_more_are_refused() {
+        let limit = u32::MAX as usize;
+        assert_eq!(frame_len(17, limit - 17).expect("largest frame"), u32::MAX);
+        assert!(matches!(
+            frame_len(17, limit - 16),
+            Err(StorageError::RecordTooLarge(bytes)) if bytes == 1 << 32
+        ));
+        assert!(matches!(frame_len(18, usize::MAX), Err(StorageError::RecordTooLarge(_))));
+    }
+
+    /// A writer that accepts at most `step` bytes per call, to force
+    /// partial vectored writes.
+    struct Trickle {
+        step: usize,
+        written: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            let taken = bytes.len().min(self.step);
+            self.written.extend_from_slice(&bytes[..taken]);
+            Ok(taken)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_vectored_writes_resume_mid_slice() {
+        let parts: [&[u8]; 6] = [b"", b"head", b"", b"a longer payload", b"x", b""];
+        for step in 1..8 {
+            let mut out = Trickle { step, written: Vec::new() };
+            let mut slices = parts.map(IoSlice::new);
+            write_all_vectored(&mut out, &mut slices).expect("write");
+            assert_eq!(out.written, parts.concat(), "step {step}");
+        }
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! round-trip byte-for-byte through [`replay_bytes`] and a [`Wal`] reopen,
 //! and a torn tail — the file truncated at *every* byte offset inside the
 //! final record — must be detected by the length/checksum framing, cleanly
-//! ignored, and never panic or corrupt the records before it.
+//! ignored, and never panic or corrupt the records before it. A frame whose
+//! checksum holds but whose payload is not a record (hostile or foreign
+//! bytes, not a torn write) must fail the open with a typed error instead.
 
 use std::path::PathBuf;
 
-use megaphone::storage::{replay_bytes, Wal, WalRecord};
+use megaphone::storage::{crc32, replay_bytes, StorageError, Wal, WalRecord};
 
 /// A deterministic xorshift64* generator, reproducible from the seed.
 struct Rng(u64);
@@ -162,5 +164,64 @@ fn corrupt_checksums_cut_the_replay_at_the_flipped_record() {
             records[..replayed.len()],
             "seed {seed}: corruption changed records before the flip"
         );
+    }
+}
+
+#[test]
+fn checksum_valid_frames_that_are_not_records_fail_the_open_without_panicking() {
+    let path = wal_path("undecodable.log");
+    for seed in 0..60 {
+        let mut rng = Rng::new(0xBAD_7A6 ^ seed);
+        let count = 1 + rng.below(12) as usize;
+        let records: Vec<WalRecord> = (0..count).map(|_| rng.record()).collect();
+        let mut contents = write_log(&path, &records);
+
+        // Walk the frames to the victim's `[len u32][crc u32][payload]`.
+        let victim = rng.below(count as u64) as usize;
+        let mut offset = 0;
+        for _ in 0..victim {
+            let len = u32::from_le_bytes(contents[offset..offset + 4].try_into().unwrap());
+            offset += 8 + len as usize;
+        }
+        let len = u32::from_le_bytes(contents[offset..offset + 4].try_into().unwrap()) as usize;
+        let payload = offset + 8..offset + 8 + len;
+
+        // Either an unknown tag, or (for the records that carry bytes) an
+        // inner length that over- or under-runs the frame.
+        let inner_len = match &records[victim] {
+            WalRecord::Fragment { .. } => Some(payload.start + 10),
+            WalRecord::Spill { .. } => Some(payload.start + 9),
+            WalRecord::Commit { .. } | WalRecord::Retire { .. } => None,
+        };
+        match inner_len.filter(|_| rng.below(2) == 0) {
+            Some(at) => {
+                let stored = u64::from_le_bytes(contents[at..at + 8].try_into().unwrap());
+                let wrong = match rng.below(3) {
+                    0 => stored + 1 + rng.below(1 << 40),
+                    1 => u64::MAX - rng.below(16),
+                    _ => stored.checked_sub(1).unwrap_or(1),
+                };
+                contents[at..at + 8].copy_from_slice(&wrong.to_le_bytes());
+            }
+            None => contents[payload.start] = 4 + rng.below(252) as u8,
+        }
+        let restamped = crc32(&contents[payload.clone()]);
+        contents[offset + 4..offset + 8].copy_from_slice(&restamped.to_le_bytes());
+
+        // Pure replay stops at the bad frame and keeps the records before it.
+        let (replayed, valid) = replay_bytes(&contents);
+        assert_eq!(valid, offset, "seed {seed}: replay must stop at the undecodable frame");
+        assert_eq!(replayed, records[..victim], "seed {seed}: earlier records corrupted");
+
+        // Opening names the offset and leaves the file as it found it.
+        std::fs::write(&path, &contents).expect("write mutated log");
+        match Wal::open(&path, false) {
+            Err(StorageError::Corrupt(what)) => assert!(
+                what.contains(&format!("byte offset {offset} ")),
+                "seed {seed}: error must name byte offset {offset}: {what}"
+            ),
+            other => panic!("seed {seed}: expected Corrupt, got {:?}", other.map(|(_, records)| records)),
+        }
+        assert_eq!(std::fs::read(&path).expect("reread"), contents, "seed {seed}: open modified the log");
     }
 }

@@ -252,6 +252,11 @@ fn readme_documents_durability() {
         "wal-<gen>.log",
         "sst-<seq>.sst",
         "[len u32][crc32 u32][payload]",
+        "A commit is sealed in the WAL and nowhere else",
+        "spill flushes and checkpoints only",
+        "Install-path copy inventory",
+        "WalEntry::Fragment",
+        "StorageError::Corrupt",
         "pending_install_bytes",
         "tests/recovery.rs",
         "recovery-smoke",
@@ -270,6 +275,11 @@ fn readme_documents_durability() {
     assert!(
         storage.contains("pub struct DurableConfig"),
         "DurableConfig vanished from megaphone::storage — update this test and README"
+    );
+    let wal = read("crates/megaphone/src/storage/wal.rs");
+    assert!(
+        wal.contains("pub type WalEntry") && wal.contains("const CRC_SLICES: usize = 16;"),
+        "the borrowed WAL writer or its CRC slicing changed — update this test and README"
     );
 }
 
