@@ -7,6 +7,9 @@
 //! `exchange` + `unary`, on two worker threads. The ratio of the two means is
 //! what `stateful_unary`'s F→S record path adds to a record; it is the
 //! in-tree twin of the benchmark ledger's `megaphone.operator.overhead_ratio`.
+//! `stateful_unary_timers` is the same count over bins that each hold ~2 k
+//! far-future reminders: a fold with nothing due must not pay for what is
+//! pending, so it tracks `stateful_unary` (plus the one-off scheduling).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use megaphone::prelude::*;
@@ -125,6 +128,46 @@ fn stateful_hash_count(
     .probe
 }
 
+/// Reminders every bin schedules on its first fold, the far-future times they
+/// are spread over, and the bit that tells a reminder from a key.
+const TIMER_REMINDERS: u64 = 2048;
+const TIMER_FAR: u64 = 1 << 40;
+const TIMER_MARK: u64 = 1 << 63;
+
+/// [`stateful_hash_count`] over bins that hold resident far-future reminders:
+/// nothing comes due before the inputs close, when the reminders are released
+/// and skipped.
+fn stateful_hash_count_with_timers(
+    control: &Stream<u64, ControlInst>,
+    data: &Stream<u64, u64>,
+) -> ProbeHandle<u64> {
+    stateful_unary::<_, u64, FxHashMap<u64, u64>, u64, _, _>(
+        MegaphoneConfig::new(8),
+        control,
+        data,
+        "HashCountTimers",
+        hash_code,
+        |_time, keys, counts, notificator| {
+            if counts.is_empty() {
+                for reminder in 0..TIMER_REMINDERS {
+                    notificator.notify_at(TIMER_FAR + reminder % 4, TIMER_MARK | reminder);
+                }
+            }
+            let mut outputs = Vec::with_capacity(keys.len());
+            for key in keys {
+                if key & TIMER_MARK != 0 {
+                    continue;
+                }
+                let count = counts.entry(key).or_insert(0);
+                *count += 1;
+                outputs.push(*count);
+            }
+            outputs
+        },
+    )
+    .probe
+}
+
 fn plain_hash_count(
     _control: &Stream<u64, ControlInst>,
     data: &Stream<u64, u64>,
@@ -144,6 +187,9 @@ fn plain_hash_count(
 fn bench_stateful_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("stateful_overhead");
     group.bench_function("stateful_unary", |b| b.iter(|| hash_count_run(stateful_hash_count)));
+    group.bench_function("stateful_unary_timers", |b| {
+        b.iter(|| hash_count_run(stateful_hash_count_with_timers))
+    });
     group.bench_function("exchange_unary", |b| b.iter(|| hash_count_run(plain_hash_count)));
     group.finish();
 }

@@ -30,7 +30,11 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use crate::codec::{Assembler, ChunkedCodec, Codec, Fragmenter};
+use timelite::order::{PartialOrder, Timestamp};
+
+use crate::codec::{
+    Assembler, ChunkedCodec, Codec, FragmentItems, Fragmenter, SeqAssembler, SeqFragmenter,
+};
 use crate::storage::{
     DurableBackend, DurableConfig, FragmentRef, Recovery, StorageBackend, StorageConfig,
     StorageError, StorageStats,
@@ -135,34 +139,163 @@ impl Default for MegaphoneConfig {
 /// Both components migrate together: the paper is explicit that migrated state
 /// "includes both the state for `operator`, as well as the list of pending
 /// `(val, time)` records produced by `operator` for future times" (Section 3.4).
+///
+/// # The run invariant
+///
+/// `pending` holds the post-dated records as *time runs*: one `(time, records)`
+/// entry per distinct time, **strictly ascending in time, every run non-empty**,
+/// the records of a run in the order they were scheduled. That makes the timer
+/// path cost O(due) instead of O(pending): "is anything due?" is one comparison
+/// with the first run ([`take_due`]), delivery drains whole runs off the front
+/// without touching the rest, and scheduling ([`post_date`]) is a binary search
+/// over the handful of distinct times plus a push. The hosting `S` operator
+/// keeps one wake-up per run, not per record. Code that fills `pending` by hand
+/// (tests, benchmarks) must keep the invariant; the two functions and the
+/// decoders do, and `debug_assert` it.
+///
+/// The wire and disk image is the flat, time-sorted `[len][(time, record)…]`
+/// section it has always been: encoding flattens the runs, decoding regroups
+/// consecutive equal times (and sorts an image whose times are out of order,
+/// as written before runs existed, into valid runs).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Bin<T, S, D> {
     /// The user-defined state for this bin's keys.
     pub state: S,
-    /// Post-dated records: `(time, record)` pairs to be replayed once the
-    /// frontier reaches `time`.
-    pub pending: Vec<(T, D)>,
+    /// Post-dated records as time runs, strictly ascending in time, each run
+    /// non-empty: replayed to `fold` once the frontier reaches their time.
+    pub pending: Runs<T, D>,
 }
 
-impl<T: Codec, S: Codec, D: Codec> Codec for Bin<T, S, D> {
+/// A bin's post-dated records as time runs — [`Bin::pending`]: one
+/// `(time, records)` entry per distinct time, strictly ascending, every run
+/// non-empty.
+pub type Runs<T, D> = Vec<(T, Vec<D>)>;
+
+/// Adds `record` to the run of `time` in `pending` (a [`Bin::pending`] run
+/// list), behind the records already scheduled for that time. Returns `true`
+/// iff this created the run — the caller then owes the run its one wake-up.
+pub fn post_date<T: Ord, D>(pending: &mut Runs<T, D>, time: T, record: D) -> bool {
+    let (index, created) = match pending.binary_search_by(|(run, _)| run.cmp(&time)) {
+        Ok(index) => {
+            pending[index].1.push(record);
+            (index, false)
+        }
+        Err(index) => {
+            pending.insert(index, (time, vec![record]));
+            (index, true)
+        }
+    };
+    // Checked around the touched run only, so debug builds stay O(log runs) too.
+    debug_assert!(
+        is_run_list(&pending[index.saturating_sub(1)..(index + 2).min(pending.len())]),
+        "pending runs must ascend strictly and be non-empty"
+    );
+    created
+}
+
+/// Moves the records of every run of `pending` that is due at `time` in front
+/// of `fresh`: in (due time, scheduling) order, then the fresh ones. Costs one
+/// comparison when nothing is due — `pending` is empty on every call of a fold
+/// that never post-dates — and otherwise only touches the due runs.
+pub fn take_due<T: PartialOrder, D>(
+    pending: &mut Runs<T, D>,
+    time: &T,
+    mut fresh: Vec<D>,
+) -> Vec<D> {
+    let due = pending.iter().take_while(|(run, _)| run.less_equal(time)).count();
+    if due == 0 {
+        return fresh;
+    }
+    let mut runs = pending.drain(..due).map(|(_, run)| run);
+    let mut records = runs.next().expect("at least one run is due");
+    for mut run in runs {
+        records.append(&mut run);
+    }
+    records.append(&mut fresh);
+    records
+}
+
+/// The number of post-dated records in a run list.
+pub fn pending_records<T, D>(pending: &[(T, Vec<D>)]) -> usize {
+    pending.iter().map(|(_, run)| run.len()).sum()
+}
+
+/// The run invariant of [`Bin::pending`].
+fn is_run_list<T: Ord, D>(pending: &[(T, Vec<D>)]) -> bool {
+    pending.iter().all(|(_, run)| !run.is_empty())
+        && pending.windows(2).all(|pair| pair[0].0 < pair[1].0)
+}
+
+/// Regroups a flat `(time, record)` stream into runs as it is decoded:
+/// consecutive equal times join the last run, anything else finds (or opens)
+/// its run by binary search, so an image whose times are out of order still
+/// decodes into a valid run list.
+impl<T: Ord, D> FragmentItems<(T, D)> for Runs<T, D> {
+    fn with_item_capacity(_items: usize) -> Self {
+        Vec::new()
+    }
+    fn push_item(&mut self, (time, record): (T, D)) {
+        match self.last_mut() {
+            Some((last, run)) if *last == time => run.push(record),
+            _ => {
+                post_date(self, time, record);
+            }
+        }
+    }
+}
+
+/// Flattens a run list back into the `(time, record)` pairs of its image.
+struct FlatRuns<T, D> {
+    runs: std::vec::IntoIter<(T, Vec<D>)>,
+    current: Option<(T, std::vec::IntoIter<D>)>,
+}
+
+impl<T: Clone, D> Iterator for FlatRuns<T, D> {
+    type Item = (T, D);
+    fn next(&mut self) -> Option<(T, D)> {
+        loop {
+            if let Some((time, records)) = &mut self.current {
+                if let Some(record) = records.next() {
+                    return Some((time.clone(), record));
+                }
+            }
+            let (time, records) = self.runs.next()?;
+            self.current = Some((time, records.into_iter()));
+        }
+    }
+}
+
+impl<T: Timestamp, S: Codec, D: Codec> Codec for Bin<T, S, D> {
     fn encode(&self, bytes: &mut Vec<u8>) {
         self.state.encode(bytes);
-        self.pending.encode(bytes);
+        pending_records(&self.pending).encode(bytes);
+        for (time, run) in &self.pending {
+            for record in run {
+                time.encode(bytes);
+                record.encode(bytes);
+            }
+        }
     }
     fn decode(bytes: &mut &[u8]) -> Self {
-        Bin { state: S::decode(bytes), pending: Vec::<(T, D)>::decode(bytes) }
+        let state = S::decode(bytes);
+        let mut pending = Vec::new();
+        for _ in 0..usize::decode(bytes) {
+            pending.push_item(<(T, D)>::decode(bytes));
+        }
+        Bin { state, pending }
     }
 }
 
 /// Streaming encoder for a [`Bin`]: the state section followed by the pending
-/// section, sharing one fragment budget.
-pub struct BinFragmenter<T: Codec, S: ChunkedCodec, D: Codec> {
+/// section (the runs, flattened), sharing one fragment budget. A run of any
+/// length leaves record by record, so it never forces an oversized fragment.
+pub struct BinFragmenter<T: Timestamp, S: ChunkedCodec, D: Codec> {
     state: S::Fragmenter,
     state_done: bool,
-    pending: <Vec<(T, D)> as ChunkedCodec>::Fragmenter,
+    pending: SeqFragmenter<FlatRuns<T, D>>,
 }
 
-impl<T: Codec, S: ChunkedCodec, D: Codec> Fragmenter for BinFragmenter<T, S, D> {
+impl<T: Timestamp, S: ChunkedCodec, D: Codec> Fragmenter for BinFragmenter<T, S, D> {
     fn fill(&mut self, budget: usize, buf: &mut Vec<u8>) -> bool {
         if !self.state_done {
             if self.state.fill(budget, buf) {
@@ -182,13 +315,13 @@ impl<T: Codec, S: ChunkedCodec, D: Codec> Fragmenter for BinFragmenter<T, S, D> 
 }
 
 /// Streaming decoder for a [`Bin`]: feeds bytes to the state assembler until it
-/// completes, then to the pending assembler (pre-sized from its length header).
-pub struct BinAssembler<T: Codec, S: ChunkedCodec, D: Codec> {
+/// completes, then regroups the pending section into runs pair by pair.
+pub struct BinAssembler<T: Timestamp, S: ChunkedCodec, D: Codec> {
     state: S::Assembler,
-    pending: <Vec<(T, D)> as ChunkedCodec>::Assembler,
+    pending: SeqAssembler<Runs<T, D>, (T, D)>,
 }
 
-impl<T: Codec, S: ChunkedCodec, D: Codec> Assembler for BinAssembler<T, S, D> {
+impl<T: Timestamp, S: ChunkedCodec, D: Codec> Assembler for BinAssembler<T, S, D> {
     type Value = Bin<T, S, D>;
     fn absorb(&mut self, bytes: &mut &[u8]) {
         if !self.state.is_complete() {
@@ -207,18 +340,20 @@ impl<T: Codec, S: ChunkedCodec, D: Codec> Assembler for BinAssembler<T, S, D> {
     }
 }
 
-impl<T: Codec, S: ChunkedCodec, D: Codec> ChunkedCodec for Bin<T, S, D> {
+impl<T: Timestamp, S: ChunkedCodec, D: Codec> ChunkedCodec for Bin<T, S, D> {
     type Fragmenter = BinFragmenter<T, S, D>;
     type Assembler = BinAssembler<T, S, D>;
     fn into_fragmenter(self) -> Self::Fragmenter {
+        let records = pending_records(&self.pending);
+        let runs = FlatRuns { runs: self.pending.into_iter(), current: None };
         BinFragmenter {
             state: self.state.into_fragmenter(),
             state_done: false,
-            pending: self.pending.into_fragmenter(),
+            pending: SeqFragmenter::new(records, runs),
         }
     }
     fn assembler() -> Self::Assembler {
-        BinAssembler { state: S::assembler(), pending: Vec::<(T, D)>::assembler() }
+        BinAssembler { state: S::assembler(), pending: SeqAssembler::new() }
     }
 }
 
@@ -376,12 +511,17 @@ impl BinStats {
 pub struct StatsHandle {
     snapshot: Rc<dyn Fn() -> BinStats>,
     tracked_bytes: Rc<dyn Fn() -> u64>,
+    pending_wakeups: Rc<dyn Fn() -> usize>,
 }
 
 impl StatsHandle {
-    /// Builds a handle from the two probe closures.
-    pub fn new(snapshot: Rc<dyn Fn() -> BinStats>, tracked_bytes: Rc<dyn Fn() -> u64>) -> Self {
-        StatsHandle { snapshot, tracked_bytes }
+    /// Builds a handle from the three probe closures.
+    pub fn new(
+        snapshot: Rc<dyn Fn() -> BinStats>,
+        tracked_bytes: Rc<dyn Fn() -> u64>,
+        pending_wakeups: Rc<dyn Fn() -> usize>,
+    ) -> Self {
+        StatsHandle { snapshot, tracked_bytes, pending_wakeups }
     }
 
     /// A full per-bin [`BinStats`] snapshot (allocates one entry per hosted
@@ -395,6 +535,14 @@ impl StatsHandle {
     /// loops.
     pub fn tracked_bytes(&self) -> u64 {
         (self.tracked_bytes)()
+    }
+
+    /// The wake-ups the hosting `S` operator held after its last scheduling
+    /// round: one per (bin, time) run of post-dated records of the bins hosted
+    /// here, so it is bounded by those runs however many records they hold and
+    /// however often their bins have migrated.
+    pub fn pending_wakeups(&self) -> usize {
+        (self.pending_wakeups)()
     }
 }
 
@@ -478,7 +626,7 @@ impl<T, S, D> std::fmt::Debug for BinStore<T, S, D> {
 }
 
 /// The in-progress assembly of one incrementally installed bin.
-struct PartialInstall<T: Codec, S: ChunkedCodec, D: Codec> {
+struct PartialInstall<T: Timestamp, S: ChunkedCodec, D: Codec> {
     assembler: BinAssembler<T, S, D>,
     bytes_received: u64,
 }
@@ -706,7 +854,7 @@ impl<T, S, D> BinStore<T, S, D> {
     }
 }
 
-impl<T: Codec + 'static, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore<T, S, D> {
+impl<T: Timestamp, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore<T, S, D> {
     fn assemblies_mut(&mut self) -> &mut HashMap<BinId, PartialInstall<T, S, D>> {
         self.assemblies
             .get_or_insert_with(|| Box::new(HashMap::<BinId, PartialInstall<T, S, D>>::new()))
@@ -852,12 +1000,7 @@ impl<T: Codec + 'static, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore
             backend.commit(bin as u64, total_bytes)?;
         }
         let partial = self.assemblies_mut().remove(&bin).expect("entry just ensured");
-        let mut contents = partial.assembler.finish();
-        // Headroom so the first post-dated records scheduled after the
-        // migration do not immediately reallocate the freshly decoded vector.
-        if contents.pending.capacity() == contents.pending.len() {
-            contents.pending.reserve(4);
-        }
+        let contents = partial.assembler.finish();
         self.spilled.remove(&bin);
         self.install(bin, contents);
         self.set_load(bin, BinLoad { records: 0, bytes: total_bytes });
@@ -1041,7 +1184,7 @@ impl<T: Codec + 'static, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore
 
 /// Decodes a bin's full stored image (the concatenation of its fragments)
 /// through its assembler, panicking if the image is not one complete encoding.
-fn decode_image<T: Codec, S: ChunkedCodec, D: Codec>(bin: BinId, image: &[u8]) -> Bin<T, S, D> {
+fn decode_image<T: Timestamp, S: ChunkedCodec, D: Codec>(bin: BinId, image: &[u8]) -> Bin<T, S, D> {
     let mut assembler = Bin::<T, S, D>::assembler();
     let mut slice = image;
     assembler.absorb(&mut slice);
@@ -1054,14 +1197,14 @@ fn decode_image<T: Codec, S: ChunkedCodec, D: Codec>(bin: BinId, image: &[u8]) -
 
 /// An in-progress incremental extraction of one bin: owns the removed bin's
 /// fragmenter and a scratch buffer, and yields bounded-size encoded fragments.
-pub struct ChunkedExtraction<T: Codec, S: ChunkedCodec, D: Codec> {
+pub struct ChunkedExtraction<T: Timestamp, S: ChunkedCodec, D: Codec> {
     bin: BinId,
     fragmenter: BinFragmenter<T, S, D>,
     scratch: Vec<u8>,
     exhausted: bool,
 }
 
-impl<T: Codec, S: ChunkedCodec, D: Codec> ChunkedExtraction<T, S, D> {
+impl<T: Timestamp, S: ChunkedCodec, D: Codec> ChunkedExtraction<T, S, D> {
     /// The bin being extracted.
     pub fn bin(&self) -> BinId {
         self.bin
@@ -1139,7 +1282,7 @@ pub fn shared_bin_store_with_storage<T, S, D>(
     peers: usize,
 ) -> Result<SharedBinStore<T, S, D>, StorageError>
 where
-    T: Codec + 'static,
+    T: Timestamp,
     S: ChunkedCodec + Default + 'static,
     D: Codec + 'static,
 {
@@ -1289,7 +1432,7 @@ mod tests {
     fn bins_roundtrip_through_codec() {
         let bin: Bin<u64, Vec<(String, u64)>, (String, i64)> = Bin {
             state: vec![("word".to_string(), 3)],
-            pending: vec![(10, ("later".to_string(), 1))],
+            pending: vec![(10, vec![("later".to_string(), 1)])],
         };
         let bytes = bin.encode_to_vec();
         let decoded = Bin::<u64, Vec<(String, u64)>, (String, i64)>::decode_from_slice(&bytes);
@@ -1301,7 +1444,7 @@ mod tests {
         let config = MegaphoneConfig::new(2).with_chunk_bytes(64);
         let mut source: BinStore<u64, Vec<u64>, (u64, u64)> = BinStore::new(&config, 0, 1);
         source.bin_mut(1).state = (0..100).collect();
-        source.bin_mut(1).pending = vec![(7, (1, 2)), (9, (3, 4))];
+        source.bin_mut(1).pending = vec![(7, vec![(1, 2)]), (9, vec![(3, 4), (5, 6)])];
         let expected = source.try_bin(1).cloned().unwrap();
 
         let mut extraction = source.extract_chunked(1).expect("bin 1 hosted");
@@ -1338,7 +1481,7 @@ mod tests {
             let chunk = 64;
             let bin: Bin<u64, Vec<u8>, (u64, u64)> = Bin {
                 state: vec![7u8; state_len],
-                pending: vec![(1, (2, 3)), (4, (5, 6))],
+                pending: vec![(1, vec![(2, 3)]), (4, vec![(5, 6)])],
             };
             let whole = bin.encode_to_vec();
             let fragments = crate::codec::encode_fragments(bin.clone(), chunk);
@@ -1587,7 +1730,7 @@ mod tests {
         let config = MegaphoneConfig::new(2).with_chunk_bytes(32);
         let durable = durable_config("install");
         let bin: Bin<u64, Vec<u64>, (u64, u64)> =
-            Bin { state: (0..40).collect(), pending: vec![(5, (1, 2))] };
+            Bin { state: (0..40).collect(), pending: vec![(5, vec![(1, 2)])] };
         let fragments = crate::codec::encode_fragments(bin.clone(), config.chunk_bytes);
         assert!(fragments.len() > 1, "the bin must migrate in several fragments");
         {
@@ -1768,7 +1911,7 @@ mod tests {
         let durable = durable_config("spill");
         let (mut store, _) = TestStore::open_durable(&config, &durable, "op", 0).expect("open");
         let bin: Bin<u64, Vec<u64>, (u64, u64)> =
-            Bin { state: (0..50).collect(), pending: vec![(9, (8, 7))] };
+            Bin { state: (0..50).collect(), pending: vec![(9, vec![(8, 7)])] };
         store.install(1, bin.clone());
         store.install(2, Bin { state: vec![1], pending: Vec::new() });
         store.note_records(2, 100, 8); // hot: must not spill

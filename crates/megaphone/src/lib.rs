@@ -112,7 +112,7 @@ pub use control::{
 pub use controller::{ClosedLoopController, ControllerStatus, MigrationController};
 pub use ctl::{CtlClient, CtlServer, CTL_MAGIC};
 pub use interface::{state_machine, stateful_binary, Either, MegaphoneStream};
-pub use notificator::{Notificator, PendingQueue};
+pub use notificator::{Notificator, PendingQueue, WakeupQueue};
 pub use operator::{stateful_unary, StatefulOutput};
 pub use routing::RoutingTable;
 pub use storage::{

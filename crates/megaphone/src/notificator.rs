@@ -4,15 +4,21 @@
 //! schedule post-dated records for future times, and the library keeps the
 //! records (inside the owning bin, so that they migrate with it) together with
 //! the capabilities needed to eventually produce output (Section 4.3).
+//!
+//! The records live in the bin as *time runs* (see [`Bin`](crate::bins::Bin)):
+//! one entry per distinct time. The hosting `S` operator keeps a
+//! [`WakeupQueue`] beside them with **one wake-up per (bin, time) run** —
+//! registered when the run is created, never per record — and one capability
+//! per distinct time, so the queue is bounded by the runs of the hosted bins.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use timelite::dataflow::Capability;
 use timelite::order::{Timestamp, TotalOrder};
 use timelite::progress::Antichain;
 
-use crate::bins::BinId;
+use crate::bins::{pending_records, post_date, BinId, Runs};
 
 /// An entry of a [`PendingQueue`], ordered by time.
 struct Pending<T: Timestamp, P> {
@@ -76,30 +82,6 @@ impl<T: Timestamp + TotalOrder, P> PendingQueue<T, P> {
         self.heap.push(Reverse(Pending { time, capability, payload }));
     }
 
-    /// Enqueues `payload` at `time`, delaying `capability` to that time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not in advance of the capability's time.
-    pub fn push_at(&mut self, time: T, capability: &Capability<T>, payload: P) {
-        let capability = capability.delayed(&time);
-        self.heap.push(Reverse(Pending { time, capability, payload }));
-    }
-
-    /// Enqueues `payload` at `time`, or — when `time` is already closed (not
-    /// in advance of the capability) — at the capability's own time, the
-    /// earliest still-open time. Used for wake-ups derived from out-of-order
-    /// input or migrated pending records, whose requested times may already
-    /// have been passed by the frontier: the entry becomes deliverable as soon
-    /// as the capability's time closes, instead of panicking.
-    pub fn push_at_clamped(&mut self, time: T, capability: &Capability<T>, payload: P) {
-        if capability.time().less_equal(&time) {
-            self.push_at(time, capability, payload);
-        } else {
-            self.push(capability.clone(), payload);
-        }
-    }
-
     /// The earliest pending time, if any.
     pub fn next_time(&self) -> Option<&T> {
         self.heap.peek().map(|Reverse(entry)| &entry.time)
@@ -160,27 +142,149 @@ impl<T: Timestamp + TotalOrder, P> PendingQueue<T, P> {
     }
 }
 
+/// The wake-ups of one `S` operator: for every time at which a hosted bin has
+/// a run of post-dated records, the bins to wake and the one capability that
+/// lets `S` produce output then.
+///
+/// One wake-up per (bin, time) run, one capability per distinct time: the
+/// queue's size is the number of runs of the hosted bins, however many records
+/// the runs hold and however often their bins have migrated —
+/// [`remove_bins`](Self::remove_bins) drops a bin's wake-ups when it leaves,
+/// [`register_runs`](Self::register_runs) re-creates them where it arrives.
+pub struct WakeupQueue<T: Timestamp> {
+    times: BTreeMap<T, (Capability<T>, Vec<BinId>)>,
+    /// Total wake-ups over all times (maintained, not summed).
+    len: usize,
+}
+
+impl<T: Timestamp + TotalOrder> Default for WakeupQueue<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Timestamp + TotalOrder> WakeupQueue<T> {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        WakeupQueue { times: BTreeMap::new(), len: 0 }
+    }
+
+    /// Number of registered wake-ups.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` iff no wake-ups are registered.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Registers a wake-up for `bin` at `time`, or — when `time` is already
+    /// closed (not in advance of `capability`) — at the capability's own time,
+    /// the earliest still-open one: a migrated or recovered run whose time has
+    /// passed is delivered as soon as that time closes, exactly once, instead
+    /// of panicking. Registering the same bin at the same time twice in a row
+    /// (several closed runs of one bin) collapses into one wake-up.
+    pub fn register(&mut self, time: T, capability: &Capability<T>, bin: BinId) {
+        let open = capability.time();
+        let time = if open.less_equal(&time) { time } else { open.clone() };
+        let (_, bins) = self
+            .times
+            .entry(time)
+            .or_insert_with_key(|time| (capability.delayed(time), Vec::new()));
+        if bins.last() != Some(&bin) {
+            bins.push(bin);
+            self.len += 1;
+        }
+    }
+
+    /// Registers one wake-up per run of `pending`, the run list of the freshly
+    /// installed or recovered `bin` (see [`register`](Self::register) for runs
+    /// whose time is already closed).
+    pub fn register_runs<D>(
+        &mut self,
+        bin: BinId,
+        pending: &[(T, Vec<D>)],
+        capability: &Capability<T>,
+    ) {
+        for (time, _) in pending {
+            self.register(time.clone(), capability, bin);
+        }
+    }
+
+    /// Drops every wake-up of the bins for which `departed` holds — bins that
+    /// were extracted for migration, whose runs (and the duty to wake them)
+    /// left with them — and the capability of every time left without one.
+    pub fn remove_bins(&mut self, departed: impl Fn(BinId) -> bool) {
+        let mut len = 0;
+        self.times.retain(|_, (_, bins)| {
+            bins.retain(|&bin| !departed(bin));
+            len += bins.len();
+            !bins.is_empty()
+        });
+        self.len = len;
+    }
+
+    /// The earliest time with a wake-up, if any.
+    pub fn next_time(&self) -> Option<&T> {
+        self.times.keys().next()
+    }
+
+    /// Returns `true` iff a [`drain_ready2`](Self::drain_ready2) call now would
+    /// return work (see [`PendingQueue::has_ready`] for why `S` asks).
+    pub fn has_ready2(&self, frontier1: &Antichain<T>, frontier2: &Antichain<T>) -> bool {
+        self.next_time()
+            .is_some_and(|time| !frontier1.less_equal(time) && !frontier2.less_equal(time))
+    }
+
+    /// Removes and returns, in timestamp order, the wake-ups of every time that
+    /// both frontiers have passed: per time, its capability and the bins to wake
+    /// (a bin can appear more than once).
+    pub fn drain_ready2(
+        &mut self,
+        frontier1: &Antichain<T>,
+        frontier2: &Antichain<T>,
+    ) -> Vec<(T, Capability<T>, Vec<BinId>)> {
+        let mut ready = Vec::new();
+        while self.has_ready2(frontier1, frontier2) {
+            let (time, (capability, bins)) = self.times.pop_first().expect("a ready time exists");
+            self.len -= bins.len();
+            ready.push((time, capability, bins));
+        }
+        ready
+    }
+}
+
 /// The handle through which operator logic schedules post-dated records for the
 /// bin currently being processed.
 ///
-/// Post-dated records are appended to the bin's pending list — so a migration
-/// carries them to the bin's new owner — and a wake-up with an appropriate
-/// capability is registered with the hosting `S` operator.
+/// Post-dated records join the bin's run for their time — so a migration
+/// carries them to the bin's new owner — and the first record of a run
+/// registers the run's one wake-up with the hosting `S` operator.
+///
+/// # Ordering contract
+///
+/// Records scheduled for one `(bin, time)` are re-presented in the order they
+/// were scheduled, in one `fold` call; when runs of several times are due in
+/// the same call (after a migration or recovery delivered closed runs late)
+/// they come in (due time, scheduling) order, ahead of that time's fresh
+/// records.
 pub struct Notificator<'a, T: Timestamp + TotalOrder, D> {
     time: &'a T,
     bin: BinId,
-    bin_pending: &'a mut Vec<(T, D)>,
-    wakeups: &'a mut PendingQueue<T, BinId>,
+    bin_pending: &'a mut Runs<T, D>,
+    wakeups: &'a mut WakeupQueue<T>,
     capability: &'a Capability<T>,
 }
 
 impl<'a, T: Timestamp + TotalOrder, D> Notificator<'a, T, D> {
-    /// Creates a notificator scoped to one bin at one processing time.
-    pub(crate) fn new(
+    /// Creates a notificator scoped to one bin at one processing time:
+    /// `bin_pending` is the bin's run list, `capability` one for `time`.
+    pub fn new(
         time: &'a T,
         bin: BinId,
-        bin_pending: &'a mut Vec<(T, D)>,
-        wakeups: &'a mut PendingQueue<T, BinId>,
+        bin_pending: &'a mut Runs<T, D>,
+        wakeups: &'a mut WakeupQueue<T>,
         capability: &'a Capability<T>,
     ) -> Self {
         Notificator { time, bin, bin_pending, wakeups, capability }
@@ -206,13 +310,14 @@ impl<'a, T: Timestamp + TotalOrder, D> Notificator<'a, T, D> {
     /// dropped.
     pub fn notify_at(&mut self, time: T, record: D) {
         let time = if self.time.less_equal(&time) { time } else { self.time.clone() };
-        self.bin_pending.push((time.clone(), record));
-        self.wakeups.push_at(time, self.capability, self.bin);
+        if post_date(self.bin_pending, time.clone(), record) {
+            self.wakeups.register(time, self.capability, self.bin);
+        }
     }
 
     /// The number of records currently pending for this bin.
     pub fn pending_len(&self) -> usize {
-        self.bin_pending.len()
+        pending_records(self.bin_pending)
     }
 }
 
@@ -275,31 +380,31 @@ mod tests {
     }
 
     #[test]
-    fn push_at_delays_capability() {
-        let mut queue = PendingQueue::new();
-        let cap = test_capability(2);
-        queue.push_at(9, &cap, "later");
-        assert_eq!(queue.next_time(), Some(&9));
-        let ready = queue.drain_ready(&Antichain::from_elem(10));
-        assert_eq!(ready[0].1.time(), &9);
-    }
-
-    #[test]
-    fn notificator_records_pending_and_wakeups() {
+    fn notificator_opens_a_run_and_one_wakeup_per_time() {
         let mut pending = Vec::new();
-        let mut wakeups = PendingQueue::new();
+        let mut wakeups = WakeupQueue::new();
         let cap = test_capability(5);
         {
             let mut notificator = Notificator::new(&5, 7, &mut pending, &mut wakeups, &cap);
             assert_eq!(notificator.time(), &5);
             assert_eq!(notificator.bin(), 7);
             notificator.notify_at(8, "future".to_string());
-            assert_eq!(notificator.pending_len(), 1);
+            notificator.notify_at(8, "same run".to_string());
+            notificator.notify_at(6, "earlier".to_string());
+            assert_eq!(notificator.pending_len(), 3);
         }
-        assert_eq!(pending, vec![(8, "future".to_string())]);
-        let ready = wakeups.drain_ready(&Antichain::from_elem(9));
-        assert_eq!(ready.len(), 1);
-        assert_eq!(ready[0].2, 7);
+        assert_eq!(
+            pending,
+            vec![
+                (6, vec!["earlier".to_string()]),
+                (8, vec!["future".to_string(), "same run".to_string()]),
+            ]
+        );
+        assert_eq!(wakeups.len(), 2, "one wake-up per run, not per record");
+        let ready = wakeups.drain_ready2(&Antichain::from_elem(9), &Antichain::new());
+        let fired: Vec<_> = ready.iter().map(|(time, cap, bins)| (*time, *cap.time(), &bins[..])).collect();
+        assert_eq!(fired, vec![(6, 6, &[7][..]), (8, 8, &[7][..])]);
+        assert!(wakeups.is_empty());
     }
 
     #[test]
@@ -307,37 +412,65 @@ mod tests {
         // A request for an already-closed time is clamped to the current time:
         // the record is queued once, at time 5, and released as soon as the
         // frontier passes 5 — immediate delivery, exactly once.
-        let mut pending: Vec<(u64, ())> = Vec::new();
-        let mut wakeups = PendingQueue::new();
+        let mut pending: Vec<(u64, Vec<()>)> = Vec::new();
+        let mut wakeups = WakeupQueue::new();
         let cap = test_capability(5);
         {
             let mut notificator = Notificator::new(&5, 3, &mut pending, &mut wakeups, &cap);
             notificator.notify_at(3, ());
         }
-        assert_eq!(pending, vec![(5, ())]);
+        assert_eq!(pending, vec![(5, vec![()])]);
         assert_eq!(wakeups.next_time(), Some(&5));
-        assert!(wakeups.drain_ready(&Antichain::from_elem(5)).is_empty(), "time 5 still open");
-        let ready = wakeups.drain_ready(&Antichain::from_elem(6));
+        let open = Antichain::new();
+        assert!(wakeups.drain_ready2(&Antichain::from_elem(5), &open).is_empty(), "5 still open");
+        let ready = wakeups.drain_ready2(&Antichain::from_elem(6), &open);
         assert_eq!(ready.len(), 1, "released exactly once");
         assert_eq!(ready[0].0, 5);
         assert!(wakeups.is_empty());
     }
 
     #[test]
-    fn clamped_push_falls_back_to_the_capability_time() {
-        // Requests in advance of the capability keep their time; requests for
-        // closed times land at the capability's time instead of panicking —
-        // the path taken when a migrated bin carries already-due pending
-        // records.
-        let mut queue = PendingQueue::new();
+    fn wakeups_require_both_frontiers() {
+        let mut wakeups = WakeupQueue::new();
+        wakeups.register(3, &test_capability(3), 0);
+        let (ten, two, seven) =
+            (Antichain::from_elem(10), Antichain::from_elem(2), Antichain::from_elem(7));
+        assert!(!wakeups.has_ready2(&ten, &two));
+        assert!(wakeups.drain_ready2(&ten, &two).is_empty());
+        assert!(wakeups.has_ready2(&ten, &seven));
+        assert_eq!(wakeups.drain_ready2(&ten, &seven).len(), 1);
+    }
+
+    #[test]
+    fn closed_runs_collapse_into_one_wakeup_at_the_capability_time() {
+        // A migrated bin whose runs at 2 and 4 are already closed under the
+        // install's capability (time 10): one wake-up at 10 delivers both;
+        // the open runs keep their own times.
+        let runs: Vec<(u64, Vec<u8>)> =
+            vec![(2, vec![0]), (4, vec![0; 3]), (10, vec![0]), (15, vec![0])];
+        let mut wakeups = WakeupQueue::new();
         let cap = test_capability(10);
-        queue.push_at_clamped(15, &cap, "future");
-        queue.push_at_clamped(4, &cap, "past");
-        let ready = queue.drain_ready(&Antichain::from_elem(11));
+        wakeups.register_runs(6, &runs, &cap);
+        assert_eq!(wakeups.len(), 2);
+        let ready = wakeups.drain_ready2(&Antichain::from_elem(11), &Antichain::new());
         assert_eq!(ready.len(), 1);
-        assert_eq!(ready[0].0, 10, "closed time is clamped to the capability");
-        assert_eq!(ready[0].2, "past");
-        let rest = queue.drain_ready(&Antichain::new());
+        assert_eq!((ready[0].0, *ready[0].1.time(), &ready[0].2[..]), (10, 10, &[6][..]));
+        let rest = wakeups.drain_ready2(&Antichain::new(), &Antichain::new());
         assert_eq!(rest[0].0, 15);
+    }
+
+    #[test]
+    fn removing_a_bin_drops_its_wakeups_and_idle_capabilities() {
+        let mut wakeups = WakeupQueue::new();
+        let cap = test_capability(0);
+        for (time, bin) in [(5, 1), (5, 2), (7, 1), (9, 3)] {
+            wakeups.register(time, &cap, bin);
+        }
+        assert_eq!(wakeups.len(), 4);
+        wakeups.remove_bins(|bin| bin == 1);
+        assert_eq!(wakeups.len(), 2);
+        let ready = wakeups.drain_ready2(&Antichain::new(), &Antichain::new());
+        let fired: Vec<_> = ready.iter().map(|(time, _, bins)| (*time, bins.clone())).collect();
+        assert_eq!(fired, vec![(5, vec![2]), (9, vec![3])], "time 7 went with its only bin");
     }
 }

@@ -19,7 +19,9 @@
 //! F and S instances on the same worker share the bin store through a shared
 //! pointer, exactly as described in Section 4.2 of the paper.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use timelite::communication::Pact;
 use timelite::dataflow::{Capability, OperatorBuilder, OutputPort, ProbeHandle, Stream};
@@ -27,12 +29,12 @@ use timelite::order::{Timestamp, TotalOrder};
 use timelite::Data;
 
 use crate::bins::{
-    shared_bin_store_with_storage, Bin, BinId, BinStats, BinStore, ChunkedExtraction,
+    shared_bin_store_with_storage, take_due, Bin, BinId, BinStats, BinStore, ChunkedExtraction,
     MegaphoneConfig, StateFragment, StatsHandle,
 };
 use crate::codec::{ChunkedCodec, Codec};
 use crate::control::ControlInst;
-use crate::notificator::{Notificator, PendingQueue};
+use crate::notificator::{Notificator, PendingQueue, WakeupQueue};
 use crate::routing::RoutingTable;
 use crate::storage::{worker_storage, StorageConfig, StorageHandle};
 
@@ -93,17 +95,26 @@ impl<T: Timestamp, O: Data> StatefulOutput<T, O> {
 ///   dataflow's exchange functions); keys are assigned to bins by the most
 ///   significant `config.bin_shift` bits.
 /// * `fold` is invoked once per `(time, bin)` with the records of that bin at
-///   that time — post-dated records that came due first, then the records that
-///   arrived at that time, from however many batches and workers, in arrival
-///   order — the bin's state, and a [`Notificator`] for scheduling post-dated
-///   records. It returns the outputs to emit at that time; it is never called
-///   with no records. (Records `fold` itself post-dates to the time being
-///   processed are delivered by one further call.)
+///   that time — post-dated records that came due first, in (due time,
+///   scheduling) order, then the records that arrived at that time, from
+///   however many batches and workers, in arrival order — the bin's state, and
+///   a [`Notificator`] for scheduling post-dated records. It returns the
+///   outputs to emit at that time; it is never called with no records.
+///   (Records `fold` itself post-dates to the time being processed are
+///   delivered by one further call.)
 ///
 /// S stashes the routed batches as they arrive and, once a time is closed,
 /// groups all of them by bin in one counting pass, folds the bins in ascending
 /// order, and emits the outputs of the whole time as one batch: downstream
 /// sees one batch per `(time, worker)`. `tests/batching.rs` pins both.
+///
+/// Timers cost O(due), not O(pending): a bin keeps its post-dated records as
+/// time runs ([`Bin`]'s run invariant), so a fold with nothing due pays one
+/// comparison, and S keeps one wake-up per `(bin, time)` run — registered when
+/// `fold`, an install or recovery creates the run, dropped when the bin is
+/// extracted — so its queue is bounded by the runs of the bins it hosts
+/// ([`StatsHandle::pending_wakeups`]). `tests/timers.rs` checks the whole path
+/// against a flat pending list.
 ///
 /// Migration is transparent to `fold`: the same bin state appears at the new
 /// worker, with pending records intact.
@@ -159,6 +170,12 @@ where
     // Probe on the S output frontier, monitored by F to time migrations.
     let mut probe = ProbeHandle::new();
 
+    // Bins F has extracted for migration since S last ran: their runs left
+    // with them, so S drops their wake-ups (S's capabilities stay S's to drop).
+    let departed: Rc<RefCell<Vec<BinId>>> = Rc::default();
+    // S's wake-up count as of its last round, behind `StatsHandle`.
+    let wakeup_count: Rc<Cell<usize>> = Rc::default();
+
     // ------------------------------------------------------------------ F ---
     let mut f_builder = OperatorBuilder::new(&format!("{name}::F"), scope.clone());
     let mut f_data_in = f_builder.new_input(data, Pact::Pipeline);
@@ -167,6 +184,7 @@ where
     let (mut f_state_out, migrated_stream) = f_builder.new_output::<Migrated>();
 
     let f_store = store.clone();
+    let f_departed = departed.clone();
     let f_probe = probe.clone();
     // Under demand-driven scheduling F must be woken by the downstream S
     // output frontier it watches: that frontier's movement never touches F's
@@ -265,6 +283,7 @@ where
                     } else {
                         let extraction = f_store.borrow_mut().extract_chunked(bin);
                         if let Some(extraction) = extraction {
+                            f_departed.borrow_mut().push(bin);
                             outgoing.push_back((capability.clone(), target as u64, extraction));
                         }
                     }
@@ -331,14 +350,17 @@ where
     let (mut s_output, output_stream) = s_builder.new_output::<O>();
 
     let s_store = store.clone();
+    let s_wakeup_count = wakeup_count.clone();
     let mut fold = fold;
     let s_activator = s_builder.activator();
     s_builder.build(move |initial_capability| {
         // Received data batches, as they arrived, released in timestamp order
         // once both input frontiers have passed their time.
         let mut data_stash: PendingQueue<T, Vec<Routed<D>>> = PendingQueue::new();
-        // Wake-ups for bins with post-dated records.
-        let mut wakeups: PendingQueue<T, BinId> = PendingQueue::new();
+        // One wake-up per (bin, time) run of the hosted bins' post-dated
+        // records, registered when the run is created — by `fold` through the
+        // notificator, by an install, by recovery — never per record.
+        let mut wakeups: WakeupQueue<T> = WakeupQueue::new();
         // Scratch of the per-time grouping, reused across times: the released
         // batches of the time, the per-bin record counts that size `groups`,
         // the bins with work (records or a wake-up), and one record `Vec` per
@@ -356,9 +378,7 @@ where
             let store = s_store.borrow();
             if store.has_backend() {
                 for (bin, contents) in store.hosted() {
-                    for (time, _) in &contents.pending {
-                        wakeups.push_at_clamped(time.clone(), &initial_capability, bin);
-                    }
+                    wakeups.register_runs(bin, &contents.pending, &initial_capability);
                 }
             }
         }
@@ -367,10 +387,22 @@ where
             let data_frontier = &frontiers[0];
             let state_frontier = &frontiers[1];
 
+            // Bins that left since the last round (necessarily before any
+            // install below) no longer need waking here. A bin that returns
+            // gets its wake-ups afresh: round trips never pile them up.
+            {
+                let mut departed = departed.borrow_mut();
+                if !departed.is_empty() {
+                    departed.sort_unstable();
+                    wakeups.remove_bins(|bin| departed.binary_search(&bin).is_ok());
+                    departed.clear();
+                }
+            }
+
             // Absorb migration fragments immediately; a bin is installed once
-            // its final fragment arrives, registering wake-ups for any pending
-            // records it carried. Decoding happens fragment by fragment, so a
-            // multi-megabyte bin never triggers one monolithic decode stall.
+            // its final fragment arrives, registering one wake-up per run of
+            // pending records it carried. Decoding happens fragment by fragment,
+            // so a multi-megabyte bin never triggers one monolithic decode stall.
             // A durable store logs a whole batch with one vectored append.
             s_state_in.for_each(|capability, migrations| {
                 let batch: Vec<_> = migrations
@@ -384,14 +416,12 @@ where
                 let store = s_store.borrow();
                 for bin in installed {
                     let contents = store.try_bin(bin).expect("bin just installed");
-                    for (time, _) in &contents.pending {
-                        // Pending times can trail the migration's control
-                        // time when out-of-order input post-dated records
-                        // to already-closed times: clamp those to the
-                        // fragment's capability so they deliver
-                        // immediately after installation, exactly once.
-                        wakeups.push_at_clamped(time.clone(), &capability, bin);
-                    }
+                    // Pending times can trail the migration's control time
+                    // when out-of-order input post-dated records to
+                    // already-closed times: those runs are clamped to the
+                    // fragment's capability so they deliver immediately
+                    // after installation, exactly once.
+                    wakeups.register_runs(bin, &contents.pending, &capability);
                 }
             });
 
@@ -414,7 +444,8 @@ where
                 };
 
                 // Merge everything released for `time`: count the records per
-                // bin, and let repeated wake-ups of one bin collapse into one.
+                // bin, and add the bins the time's wake-ups name (a bin woken
+                // twice, or woken with records, is still one unit of work).
                 // Any of the released capabilities serves the whole time.
                 let mut capability = None;
                 let mut arrived = 0;
@@ -430,8 +461,8 @@ where
                     batches.push(batch);
                     capability.get_or_insert(held);
                 }
-                while let Some((_, held, bin)) = ready_wakeups.next_if(|entry| entry.0 == time) {
-                    touched.push(bin);
+                if let Some((_, held, bins)) = ready_wakeups.next_if(|entry| entry.0 == time) {
+                    touched.extend(bins);
                     capability.get_or_insert(held);
                 }
                 let capability = capability.expect("released work carries a capability");
@@ -492,6 +523,7 @@ where
             {
                 s_activator.activate();
             }
+            s_wakeup_count.set(wakeups.len());
         }
     });
 
@@ -501,6 +533,7 @@ where
     let stats = StatsHandle::new(
         std::rc::Rc::new(move || snapshot_store.borrow().stats()),
         std::rc::Rc::new(move || bytes_store.borrow().tracked_bytes()),
+        std::rc::Rc::new(move || wakeup_count.get()),
     );
     let checkpoint_store = store.clone();
     let sync_store = store.clone();
@@ -543,7 +576,7 @@ fn route_batch<T, D, H>(
 fn process_bin<T, D, S, O, F>(
     fold: &mut F,
     store: &mut BinStore<T, S, D>,
-    wakeups: &mut PendingQueue<T, BinId>,
+    wakeups: &mut WakeupQueue<T>,
     time: &T,
     capability: &Capability<T>,
     bin: BinId,
@@ -570,7 +603,7 @@ where
         None => return Vec::new(),
     };
 
-    let records = prepend_due(&mut contents.pending, time, fresh);
+    let records = take_due(&mut contents.pending, time, fresh);
     if records.is_empty() {
         return Vec::new();
     }
@@ -583,25 +616,4 @@ where
     // (unknown without encoding) serialized growth.
     store.note_records(bin, folded, folded * std::mem::size_of::<D>() as u64);
     outputs
-}
-
-/// Moves the records of `pending` that are due at `time` in front of `fresh`,
-/// both in their original order, in one pass over `pending`. With nothing due
-/// — `pending` is empty on every call of a fold that never post-dates —
-/// `fresh` is returned as it came.
-fn prepend_due<T: MegaphoneTime, D>(pending: &mut Vec<(T, D)>, time: &T, fresh: Vec<D>) -> Vec<D> {
-    let Some(first) = pending.iter().position(|(due, _)| due.less_equal(time)) else {
-        return fresh;
-    };
-    let tail = pending.split_off(first);
-    let mut records = Vec::with_capacity(tail.len() + fresh.len());
-    for (due, record) in tail {
-        if due.less_equal(time) {
-            records.push(record);
-        } else {
-            pending.push((due, record));
-        }
-    }
-    records.extend(fresh);
-    records
 }

@@ -2,6 +2,8 @@
 //! `(time, bin)` however many batches carried that time's records, due
 //! post-dated records come first in that one call, a time's outputs leave S as
 //! one batch, and none of it changes what a per-record reference computes.
+//! Post-dated records cost one wake-up and one call per `(bin, time)` run, and
+//! a fold with nothing due does not touch the runs that are pending.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -149,6 +151,138 @@ fn due_records_come_first_in_the_same_call_as_fresh_ones() {
     fresh.sort_unstable();
     assert_eq!(fresh, vec![30, 40], "fresh records of both batches follow in the same call");
     assert_eq!(calls[3], (9, vec![12]));
+}
+
+#[test]
+fn a_thousand_records_for_one_bin_and_time_are_one_wakeup_and_one_fold_call() {
+    const RECORDS: u64 = 1_000;
+    let (calls, wakeups) = timelite::execute_single(|worker| {
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let (mut control, mut input, output) = worker.dataflow::<u64, _, _>(|scope| {
+            let (control_input, control) = scope.new_input::<ControlInst>();
+            let (data_input, data) = scope.new_input::<u64>();
+            let calls = calls.clone();
+            let output = stateful_unary::<_, u64, u64, u64, _, _>(
+                MegaphoneConfig::new(2),
+                &control,
+                &data,
+                "OneRun",
+                // One key, one bin.
+                |_record| hash_code(&7u64),
+                move |time, records, _state, notificator| {
+                    if *time == 1 {
+                        for &record in &records {
+                            notificator.notify_at(5, record + RECORDS);
+                        }
+                        assert_eq!(notificator.pending_len(), records.len());
+                    }
+                    calls.borrow_mut().push((*time, records));
+                    Vec::new()
+                },
+            );
+            (control_input, data_input, output)
+        });
+        control.advance_to(1);
+        input.advance_to(1);
+        // Several batches: the fold still sees them as one call, in arrival
+        // order, and schedules the whole run from it.
+        for chunk in 0..4 {
+            for record in chunk * RECORDS / 4..(chunk + 1) * RECORDS / 4 {
+                input.send(record);
+            }
+            input.flush();
+        }
+        control.advance_to(2);
+        input.advance_to(2);
+        worker.step_while(|| output.probe.less_than(&2));
+        let wakeups = output.stats.pending_wakeups();
+        control.advance_to(20);
+        input.advance_to(20);
+        worker.step_while(|| output.probe.less_than(&20));
+        let wakeups = (wakeups, output.stats.pending_wakeups());
+        drop(control);
+        drop(input);
+        worker.step_until_complete();
+        let calls = calls.borrow().clone();
+        (calls, wakeups)
+    });
+
+    assert_eq!(wakeups, (1, 0), "one wake-up for the run while it is pending, none after");
+    assert_eq!(calls.len(), 2, "one call at time 1, one at time 5");
+    assert_eq!(calls[0].0, 1);
+    assert_eq!(calls[1].0, 5);
+    let expected: Vec<u64> = calls[0].1.iter().map(|record| record + RECORDS).collect();
+    assert_eq!(expected.len() as u64, RECORDS);
+    assert_eq!(calls[1].1, expected, "the whole run in one call, in the order it was scheduled");
+}
+
+#[test]
+fn far_future_reminders_are_not_touched_by_a_fold_that_has_nothing_due() {
+    const REMINDERS: u64 = 10_000;
+    const FAR: u64 = 1_000_000;
+    // Per fold call: its time, its records, and the bin's pending count after
+    // the call's own scheduling.
+    type Call = (u64, Vec<u64>, usize);
+    let (calls, wakeups): (Vec<Call>, usize) = timelite::execute_single(|worker| {
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let (mut control, mut input, output) = worker.dataflow::<u64, _, _>(|scope| {
+            let (control_input, control) = scope.new_input::<ControlInst>();
+            let (data_input, data) = scope.new_input::<u64>();
+            let calls = calls.clone();
+            let output = stateful_unary::<_, u64, u64, u64, _, _>(
+                MegaphoneConfig::new(2),
+                &control,
+                &data,
+                "FarFuture",
+                |_record| hash_code(&7u64),
+                move |time, records, _state, notificator| {
+                    if *time == 0 {
+                        // A hundred far-future runs of a hundred reminders.
+                        for &record in &records {
+                            notificator.notify_at(FAR + record % 100, FAR + record);
+                        }
+                    }
+                    calls.borrow_mut().push((*time, records, notificator.pending_len()));
+                    Vec::new()
+                },
+            );
+            (control_input, data_input, output)
+        });
+        for record in 0..REMINDERS {
+            input.send(record);
+        }
+        for time in 1..=3u64 {
+            control.advance_to(time);
+            input.advance_to(time);
+            input.send(time);
+        }
+        control.advance_to(10);
+        input.advance_to(10);
+        worker.step_while(|| output.probe.less_than(&10));
+        let wakeups = output.stats.pending_wakeups();
+        drop(control);
+        drop(input);
+        worker.step_until_complete();
+        let calls = calls.borrow().clone();
+        (calls, wakeups)
+    });
+
+    assert_eq!(wakeups, 100, "one wake-up per far-future run");
+    assert_eq!(calls[0].0, 0);
+    assert_eq!(calls[0].2, REMINDERS as usize);
+    for (index, time) in (1..=3u64).enumerate() {
+        let call = &calls[index + 1];
+        assert_eq!((call.0, &call.1[..]), (time, &[time][..]), "only the fresh record is folded");
+        assert_eq!(call.2, REMINDERS as usize, "the far-future reminders stay where they are");
+    }
+    // Closing the inputs releases the runs: one call per run, in time order,
+    // each carrying its hundred reminders in the order they were scheduled.
+    assert_eq!(calls.len(), 4 + 100);
+    for (run, call) in calls[4..].iter().enumerate() {
+        assert_eq!(call.0, FAR + run as u64);
+        let expected: Vec<u64> = (0..100).map(|i| FAR + run as u64 + 100 * i).collect();
+        assert_eq!(call.1, expected);
+    }
 }
 
 /// One step of xorshift64.

@@ -18,7 +18,7 @@ fn big_bin(target_bytes: usize) -> Bin<u64, FxHashMap<u64, Vec<u64>>, (u64, u64)
     let entries = target_bytes / 40;
     Bin {
         state: (0..entries as u64).map(|k| (k, vec![k, k * 2, k * 3])).collect(),
-        pending: (0..16u64).map(|i| (100 + i, (i, i * i))).collect(),
+        pending: (0..16u64).map(|i| (100 + i, vec![(i, i * i)])).collect(),
     }
 }
 

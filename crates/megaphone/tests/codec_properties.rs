@@ -177,3 +177,72 @@ fn oversized_units_survive_tiny_budgets() {
         }
     }
 }
+
+/// A bin's pending section is a flat `[len][(time, record)…]` image whatever
+/// the shape of its runs. One 200 KB single-time run leaves record by record,
+/// ten thousand single-record runs likewise: every fragment within budget,
+/// the stream byte-identical to the one-shot encoding, the runs regrouped
+/// exactly.
+#[test]
+fn pending_runs_fragment_as_a_flat_image_and_regroup() {
+    use megaphone::Bin;
+    type TestBin = Bin<u64, Vec<u64>, (u64, String)>;
+    let chunk_bytes = 4 << 10;
+    // 8 (time) + 8 (id) + 8 (length) + 26 bytes of text per record.
+    let record = |id: u64| (id, "abcdefghijklmnopqrstuvwxyz".to_string());
+    let one_long_run: TestBin =
+        Bin { state: vec![1, 2, 3], pending: vec![(77, (0..4_096).map(record).collect())] };
+    assert!(one_long_run.encode_to_vec().len() > 200_000);
+    let many_short_runs: TestBin = Bin {
+        state: vec![1, 2, 3],
+        pending: (0..10_000).map(|time| (1_000 + time, vec![record(time)])).collect(),
+    };
+    let mixed: TestBin = Bin {
+        state: Vec::new(),
+        pending: vec![
+            (1, vec![record(0)]),
+            (5, (0..300).map(record).collect()),
+            (9, vec![record(1); 2]),
+        ],
+    };
+    for (seed, bin) in [one_long_run, many_short_runs, mixed].into_iter().enumerate() {
+        let fragments = check(bin, chunk_bytes, seed as u64);
+        assert!(fragments.iter().all(|fragment| fragment.len() <= chunk_bytes));
+    }
+}
+
+/// An image written before pending records were kept as runs lists them in
+/// scheduling order, times out of order and repeated: it decodes — one-shot
+/// and fragment by fragment — into the sorted runs, records of one time in
+/// their listed order, and re-encodes as the time-sorted image.
+#[test]
+fn a_legacy_pending_image_with_unsorted_times_decodes_into_valid_runs() {
+    use megaphone::codec::decode_fragments;
+    use megaphone::Bin;
+    type TestBin = Bin<u64, Vec<u64>, u64>;
+    let state: Vec<u64> = vec![4, 5];
+    let listed: Vec<(u64, u64)> = vec![(9, 0), (3, 1), (9, 2), (1, 3), (3, 4), (3, 5), (7, 6)];
+    let mut legacy = Vec::new();
+    state.encode(&mut legacy);
+    listed.encode(&mut legacy);
+    let expected: TestBin = Bin {
+        state,
+        pending: vec![(1, vec![3]), (3, vec![1, 4, 5]), (7, vec![6]), (9, vec![0, 2])],
+    };
+
+    assert_eq!(TestBin::decode_from_slice(&legacy), expected);
+    // Fragments break at unit boundaries: 32 bytes of state and pending
+    // header, then 16-byte `(time, record)` pairs.
+    for pairs_per_fragment in [1, 3] {
+        let (head, pairs) = legacy.split_at(32);
+        let mut fragments = vec![head.to_vec()];
+        fragments.extend(pairs.chunks(16 * pairs_per_fragment).map(<[u8]>::to_vec));
+        assert_eq!(decode_fragments::<TestBin>(&fragments), expected);
+    }
+    let mut sorted = listed.clone();
+    sorted.sort_by_key(|&(time, _)| time);
+    let mut image = Vec::new();
+    expected.state.encode(&mut image);
+    sorted.encode(&mut image);
+    assert_eq!(expected.encode_to_vec(), image, "the image stays flat and is now time-sorted");
+}

@@ -277,6 +277,117 @@ fn pending_records_migrate_with_their_bin() {
     assert!(by_index[&1].iter().all(|(time, _)| *time == 5), "reminders fired at the wrong time");
 }
 
+/// A reminder-heavy bin that migrates back and forth does not pile up wake-ups:
+/// the worker it leaves drops them, the worker it reaches registers one per
+/// (bin, time) run, and afterwards every run fires as exactly one fold call.
+#[test]
+fn round_trips_neither_leak_nor_duplicate_wakeups() {
+    const ROUND_TRIPS: u64 = 6;
+    const KEYS: u64 = 16;
+    const REMINDERS_PER_KEY: u64 = 50;
+    const DUE: [u64; 3] = [1_000, 1_001, 1_002];
+    // Per worker: its wake-up count after every migration (with the worker that
+    // hosts everything from then on), and its reminder calls `(time, bin, records)`.
+    type Observed = (Vec<(usize, usize)>, Vec<(u64, BinId, usize)>);
+    let observed: Vec<Observed> = timelite::execute(Config::process(2), |worker| {
+        let index = worker.index();
+        let config = MegaphoneConfig::new(2);
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let (mut control, mut data, output) = worker.dataflow::<u64, _, _>(|scope| {
+            let (control_input, control) = scope.new_input::<ControlInst>();
+            let (data_input, data) = scope.new_input::<(u64, u64)>();
+            let calls = calls.clone();
+            let output = stateful_unary::<_, (u64, u64), u64, u64, _, _>(
+                config,
+                &control,
+                &data,
+                "Reminders",
+                |(key, _)| timelite::hashing::hash_code(key),
+                move |time, records, _state, notificator| {
+                    if *time == 0 {
+                        for &(key, reminder) in &records {
+                            notificator.notify_at(DUE[(reminder % 3) as usize], (key, reminder));
+                        }
+                    } else {
+                        calls.borrow_mut().push((*time, notificator.bin(), records.len()));
+                    }
+                    Vec::new()
+                },
+            );
+            (control_input, data_input, output)
+        });
+
+        // Time 0: every key schedules its reminders, spread over three times.
+        if index == 0 {
+            for key in 0..KEYS {
+                for reminder in 0..REMINDERS_PER_KEY {
+                    data.send((key, reminder));
+                }
+            }
+        }
+        let mut epoch = 0;
+        let mut advance = |control: &mut InputHandle<u64, ControlInst>,
+                           data: &mut InputHandle<u64, (u64, u64)>,
+                           to: u64| {
+            control.advance_to(to);
+            data.advance_to(to);
+            worker.step_while(|| output.probe.less_than(&to));
+        };
+        epoch += 1;
+        advance(&mut control, &mut data, epoch);
+        let mut wakeups = Vec::new();
+        for step in 0..2 * ROUND_TRIPS {
+            // Everything to worker 1, then everything back to worker 0, ….
+            let host = 1 - (step % 2) as usize;
+            if index == 0 {
+                control.send(ControlInst::Map(vec![host; config.bins()]));
+            }
+            // One epoch for the migration, one more so S has run since.
+            epoch += 2;
+            advance(&mut control, &mut data, epoch);
+            wakeups.push((host, output.stats.pending_wakeups()));
+        }
+        advance(&mut control, &mut data, DUE[2] + 1);
+        wakeups.push((0, output.stats.pending_wakeups()));
+        drop(control);
+        drop(data);
+        worker.step_until_complete();
+        let calls = calls.borrow().clone();
+        (wakeups, calls)
+    });
+
+    // The runs in the system: three per bin that has a key.
+    let config = MegaphoneConfig::new(2);
+    let bin_of_key: Vec<BinId> =
+        (0..KEYS).map(|key| config.key_to_bin(timelite::hashing::hash_code(&key))).collect();
+    let keys_of = |bin: BinId| bin_of_key.iter().filter(|&&b| b == bin).count();
+    let bins: Vec<BinId> = (0..config.bins()).filter(|&bin| keys_of(bin) > 0).collect();
+    let runs = DUE.len() * bins.len();
+
+    for (index, (wakeups, _)) in observed.iter().enumerate() {
+        let (last, migrations) = wakeups.split_last().expect("observations");
+        for (step, &(host, count)) in migrations.iter().enumerate() {
+            let expected = if host == index { runs } else { 0 };
+            assert_eq!(count, expected, "worker {index} after migration {step} (to worker {host})");
+        }
+        assert_eq!(last.1, 0, "worker {index}: every wake-up fired");
+    }
+    // The last migration went to worker 0: it alone fires the reminders, one
+    // call per (time, bin), each with the whole run.
+    assert!(observed[1].1.is_empty(), "reminders fired where their bin no longer lives");
+    let mut calls = observed[0].1.clone();
+    calls.sort_unstable();
+    let mut expected = Vec::new();
+    for (slot, &time) in DUE.iter().enumerate() {
+        for &bin in &bins {
+            // Reminders 0..50 of every key, split over the three times.
+            let per_key = (0..REMINDERS_PER_KEY).filter(|r| (r % 3) as usize == slot).count();
+            expected.push((time, bin, per_key * keys_of(bin)));
+        }
+    }
+    assert_eq!(calls, expected);
+}
+
 /// The binary stateful operator joins two inputs on shared per-bin state and
 /// keeps working across a migration.
 #[test]

@@ -30,6 +30,32 @@ pub type Q8State = FxHashMap<u64, (Option<(u64, String)>, Vec<u64>)>;
 /// within its own window, so it is dead weight afterwards.
 const Q8_EXPIRY: u64 = u64::MAX;
 
+/// The expiry reminder of a registration: only the id, which is all
+/// [`expire_seller`] reads — every pending reminder migrates with its bin, so a
+/// copy of the registration (three strings) would be most of the migrated bytes.
+fn person_reminder(id: u64) -> Person {
+    Person {
+        id,
+        name: String::new(),
+        city: String::new(),
+        state: String::new(),
+        date_time: Q8_EXPIRY,
+    }
+}
+
+/// The expiry reminder of a seller's pending auction windows: only the seller.
+fn auction_reminder(seller: u64) -> Auction {
+    Auction {
+        id: 0,
+        seller,
+        category: 0,
+        initial_bid: 0,
+        reserve: 0,
+        date_time: Q8_EXPIRY,
+        expires: 0,
+    }
+}
+
 /// The processing time at which state of `window` may be dropped: the
 /// window's event-time end plus the allowed lateness, so records of the
 /// window that a bounded out-of-order replay delivers late still find it.
@@ -86,9 +112,7 @@ pub fn join_fold(
         // for out-of-order auctions still referencing it — has passed. A
         // window that is already stale notifies at the current time and is
         // dropped in the next round.
-        let mut reminder = person.clone();
-        reminder.date_time = Q8_EXPIRY;
-        notificator.notify_at(expiry_time(window), Either::Left(reminder));
+        notificator.notify_at(expiry_time(window), Either::Left(person_reminder(person.id)));
     }
     for auction in auctions {
         if auction.date_time == Q8_EXPIRY {
@@ -108,8 +132,7 @@ pub fn join_fold(
                 // Schedule one expiry per (seller, window) so sellers who
                 // never register do not accumulate state forever.
                 if !entry.1.contains(&window) {
-                    let mut reminder = auction.clone();
-                    reminder.date_time = Q8_EXPIRY;
+                    let reminder = auction_reminder(auction.seller);
                     notificator.notify_at(expiry_time(window), Either::Right(reminder));
                 }
                 entry.1.push(window);

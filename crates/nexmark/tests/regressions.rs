@@ -188,6 +188,70 @@ fn q5_state_is_dropped_after_windows_close() {
     );
 }
 
+/// An auction's counts encode exactly as the `Vec<(u64, u64)>` they used to
+/// be — inline or spilled — so bin images did not change format, and they
+/// survive growing past the inline limit and shrinking back.
+#[test]
+fn q5_slides_encode_like_a_pair_vector() {
+    use megaphone::codec::Codec;
+    for pairs in [0usize, 1, 5, 6, 7, 13, 40] {
+        let plain: Vec<(u64, u64)> = (0..pairs as u64).map(|slide| (slide + 3, slide * 2 + 1)).collect();
+        let slides = q5::Slides::decode_from_slice(&plain.encode_to_vec());
+        assert_eq!(slides.len(), pairs);
+        assert_eq!(matches!(slides, q5::Slides::Inline(..)), pairs <= 6, "{pairs} pairs");
+        assert_eq!(slides.encode_to_vec(), plain.encode_to_vec(), "{pairs} pairs");
+        let widened: Vec<(u64, u64)> =
+            slides.pairs().iter().map(|&(slide, count)| (u64::from(slide), u64::from(count))).collect();
+        assert_eq!(widened, plain);
+    }
+}
+
+/// Expiry is one reminder per `(bin, slide)`, not one per `(auction, slide)`:
+/// forty auctions bidding in one slide of one bin leave forty close reminders
+/// and a single expiry pending, and that one expiry empties the bin.
+#[test]
+fn q5_expiry_is_one_reminder_per_bin_and_slide() {
+    let (pending_after_bids, final_state) = timelite::execute_single(move |worker| {
+        let pending_in = Rc::new(RefCell::new(0usize));
+        let size_in = Rc::new(RefCell::new(usize::MAX));
+        let (pending_out, size_out) = (pending_in.clone(), size_in.clone());
+        let (control, mut input) = worker.dataflow::<u64, _, _>(|scope| {
+            let (control_input, control) = scope.new_input::<ControlInst>();
+            let (bid_input, bids) = scope.new_input::<(u64, u64)>();
+            let (pending, size) = (pending_in.clone(), size_in.clone());
+            stateful_unary::<_, (u64, u64), q5::SlideCounts, (u64, u64, u64), _, _>(
+                // One bin: every auction shares it.
+                MegaphoneConfig::new(0),
+                &control,
+                &bids,
+                "Q5-Counts-Expiry",
+                |record| timelite::hashing::hash_code(&record.0),
+                move |time, records, state, notificator| {
+                    let fresh = records.iter().any(|record| record.1 < Q5_SLIDE_MS);
+                    let out = q5::count_fold(time, records, state, notificator);
+                    if fresh {
+                        *pending.borrow_mut() = notificator.pending_len();
+                    }
+                    *size.borrow_mut() = state.len();
+                    out
+                },
+            );
+            (control_input, bid_input)
+        });
+        for auction in 0..40u64 {
+            input.send((auction, 10));
+        }
+        drop(control);
+        drop(input);
+        worker.step_until_complete();
+        let pending = *pending_out.borrow();
+        let size = *size_out.borrow();
+        (pending, size)
+    });
+    assert_eq!(pending_after_bids, 41, "40 close reminders and one expiry");
+    assert_eq!(final_state, 0, "the one expiry must drop every auction of the bin");
+}
+
 /// Drives the real Q5 stage-2 fold through `stateful_unary`, injecting a
 /// straggler count *after* the window's report fired — what a migrated slide
 /// reminder clamped past its scheduled time produces. The window must report

@@ -185,13 +185,16 @@ fn stateful_overhead_is_in_the_tracked_set() {
     // The F→S record path's end-to-end cost joined the guarded hot paths: a
     // return of the fold-per-(batch, bin) path more than doubles
     // `stateful_unary`'s run while the plain `exchange` + `unary` twin stays
-    // put, and must fail the gate.
+    // put, and must fail the gate. So must a return of the fold that scans a
+    // bin's pending reminders on every call: `stateful_unary_timers` (2 k
+    // resident far-future reminders per bin) ran 13 ms without it, 99 ms with.
     let dir = temp_dir("overhead");
     let previous = write_csv(
         &dir,
         "prev.csv",
         &[
             ("stateful_overhead/stateful_unary", 9_000_000.0),
+            ("stateful_overhead/stateful_unary_timers", 13_000_000.0),
             ("stateful_overhead/exchange_unary", 2_600_000.0),
         ],
     );
@@ -200,12 +203,17 @@ fn stateful_overhead_is_in_the_tracked_set() {
         "curr.csv",
         &[
             ("stateful_overhead/stateful_unary", 21_000_000.0),
+            ("stateful_overhead/stateful_unary_timers", 99_000_000.0),
             ("stateful_overhead/exchange_unary", 2_700_000.0),
         ],
     );
     let (ok, text) = run_compare(&previous, &current);
     assert!(!ok, "a 2.3x stateful_unary regression must fail the gate, got:\n{text}");
-    assert!(text.contains("REGRESSION stateful_overhead/stateful_unary"), "output:\n{text}");
+    assert!(text.contains("REGRESSION stateful_overhead/stateful_unary:"), "output:\n{text}");
+    assert!(
+        text.contains("REGRESSION stateful_overhead/stateful_unary_timers:"),
+        "output:\n{text}"
+    );
     assert!(text.contains("ok stateful_overhead/exchange_unary"), "output:\n{text}");
 }
 

@@ -333,17 +333,62 @@ fn readme_documents_the_in_process_record_path() {
         "In-process record path",
         "route_batch",
         "RoutingTable::resolve",
-        "prepend_due",
+        "take_due",
         "three presized copies",
         "tests/batching.rs",
         "stateful_overhead",
+        "Timers cost O(due), not O(pending)",
+        "WakeupQueue",
+        "one wake-up per (bin, time) run",
+        "StatsHandle::pending_wakeups",
+        "tests/timers.rs",
+        "stateful_unary_timers",
+        "Benchmark notes",
+        "ledger.q8_cluster2.gap_pct",
     ] {
         assert!(readme.contains(needle), "In-process record path paragraph lost `{needle}`");
     }
     let operator = read("crates/megaphone/src/operator.rs");
-    for function in ["fn route_batch", "fn prepend_due", "fn process_bin"] {
+    for function in ["fn route_batch", "fn process_bin"] {
         assert!(operator.contains(function), "`{function}` vanished from operator.rs — update README");
     }
+    // The timer path: runs in the bin, one wake-up per run in S — and the
+    // per-fold scan and per-record wake-up it replaced must not have come back.
+    let bins = read("crates/megaphone/src/bins.rs");
+    for item in [
+        "pub fn take_due",
+        "pub fn post_date",
+        "pub type Runs<T, D> = Vec<(T, Vec<D>)>",
+        "pub pending: Runs<T, D>",
+        "pub fn pending_wakeups",
+    ] {
+        assert!(bins.contains(item), "`{item}` vanished from bins.rs — update README");
+    }
+    let notificator = read("crates/megaphone/src/notificator.rs");
+    assert!(notificator.contains("pub struct WakeupQueue"), "WakeupQueue vanished — update README");
+    for gone in ["fn prepend_due", "fn push_at", "push_at_clamped"] {
+        assert!(
+            !operator.contains(gone) && !notificator.contains(gone),
+            "`{gone}` is back: README says timers cost O(due) with one wake-up per run"
+        );
+    }
+    assert!(
+        repo_root().join("crates/megaphone/tests/timers.rs").exists(),
+        "the timer-path model test README names is gone"
+    );
+    // Q5 stage 1: counts inline in the map entry, one expiry sweep per
+    // (bin, slide) — the per-(auction, slide) expiry must not have come back.
+    for needle in ["Q5 under cache pressure", "one expiry sweep", "`Slides`", "`Q5_SWEEPS`"] {
+        assert!(readme.contains(needle), "Q5 paragraph lost `{needle}`");
+    }
+    let q5 = read("crates/nexmark/src/queries/q5.rs");
+    for item in ["pub enum Slides", "const Q5_SWEEPS", "pub type SlideCounts = FxHashMap<u64, Slides>"] {
+        assert!(q5.contains(item), "`{item}` vanished from q5.rs — update README");
+    }
+    assert!(
+        !q5.contains("(auction, Q5_EXPIRE + slide)"),
+        "Q5 schedules one expiry per (auction, slide) again — README says one per (bin, slide)"
+    );
     assert!(
         !operator.contains("BTreeMap<BinId"),
         "operator.rs groups records through a BTreeMap again — README's inventory is stale"
@@ -356,6 +401,7 @@ fn readme_documents_the_in_process_record_path() {
     );
     let bench = read("crates/bench/benches/steady_state.rs");
     assert!(bench.contains("\"stateful_overhead\""), "the stateful_overhead bench group is gone");
+    assert!(bench.contains("\"stateful_unary_timers\""), "the resident-reminder bench case is gone");
 }
 
 #[test]
