@@ -8,11 +8,9 @@
 //!
 //! The store itself is *sharded*: bins live in `2^shard_shift` shards indexed
 //! by the top bits of the bin id, each shard owning its contiguous slice of bin
-//! slots plus a reusable encode scratch buffer. Sharding keeps the per-shard
-//! slot vectors small and cache-friendly, gives every migration an
-//! amortized-allocation-free encode path (the scratch buffer), and is the
-//! layout under which a future NUMA-aware or concurrent store can pin shards to
-//! cores without changing the API.
+//! slots. Sharding keeps the per-shard slot vectors small and cache-friendly
+//! and is the layout under which a future NUMA-aware or concurrent store can
+//! pin shards to cores without changing the API.
 //!
 //! Migration is *incremental*: [`BinStore::extract_chunked`] starts an
 //! extraction whose encoded bytes are pulled out as bounded-size fragments
@@ -553,7 +551,7 @@ impl std::fmt::Debug for StatsHandle {
 }
 
 /// One shard of the bin store: a contiguous slice of bin slots, its hosted
-/// count, the loads of its bins, and a reusable encode scratch buffer.
+/// count, the loads of its bins, and how large its fragments have been.
 #[derive(Debug)]
 struct Shard<T, S, D> {
     /// Bin slots; `slots[i]` holds bin `base + i`.
@@ -562,9 +560,10 @@ struct Shard<T, S, D> {
     loads: Vec<BinLoad>,
     /// Number of hosted bins in this shard (maintained, not scanned).
     hosted: usize,
-    /// Reusable encode scratch buffer: fragments are encoded here and copied
-    /// out exactly-sized, so repeated migrations do not re-grow buffers.
-    scratch: Vec<u8>,
+    /// Length of the final fragment of the last extraction from this shard:
+    /// the next extraction's first buffer starts at that capacity instead of
+    /// growing up to it.
+    fragment_hint: usize,
 }
 
 impl<T, S, D> Shard<T, S, D> {
@@ -573,7 +572,7 @@ impl<T, S, D> Shard<T, S, D> {
             slots: (0..slots).map(|_| None).collect(),
             loads: vec![BinLoad::default(); slots],
             hosted: 0,
-            scratch: Vec::new(),
+            fragment_hint: 0,
         }
     }
 }
@@ -867,9 +866,8 @@ impl<T: Timestamp, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore<T, S,
     /// installed there), and its encoded bytes are pulled out fragment by
     /// fragment with [`ChunkedExtraction::next_fragment`].
     ///
-    /// The extraction borrows the shard's scratch buffer; pass the finished
-    /// extraction to [`BinStore::recycle`] to return the (grown) buffer for the
-    /// next migration.
+    /// Pass the finished extraction to [`BinStore::recycle`], so the shard's
+    /// next extraction starts from buffers of the size this one needed.
     ///
     /// # Panics
     ///
@@ -897,23 +895,19 @@ impl<T: Timestamp, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore<T, S,
         }
         let contents = self.extract(bin).expect("hosted and resident");
         let shard = self.shard_of(bin);
-        let scratch = std::mem::take(&mut self.shards[shard].scratch);
         Ok(Some(ChunkedExtraction {
             bin,
             fragmenter: contents.into_fragmenter(),
-            scratch,
+            fragment_hint: self.shards[shard].fragment_hint,
             exhausted: false,
         }))
     }
 
-    /// Returns a finished extraction's scratch buffer to its shard.
+    /// Retires a finished extraction, remembering in its shard how large its
+    /// fragments were.
     pub fn recycle(&mut self, extraction: ChunkedExtraction<T, S, D>) {
         let shard = self.shard_of(extraction.bin);
-        let mut scratch = extraction.scratch;
-        scratch.clear();
-        if self.shards[shard].scratch.capacity() < scratch.capacity() {
-            self.shards[shard].scratch = scratch;
-        }
+        self.shards[shard].fragment_hint = extraction.fragment_hint;
     }
 
     /// Absorbs one migration fragment for `bin`. Returns `true` when `last`
@@ -1196,11 +1190,14 @@ fn decode_image<T: Timestamp, S: ChunkedCodec, D: Codec>(bin: BinId, image: &[u8
 }
 
 /// An in-progress incremental extraction of one bin: owns the removed bin's
-/// fragmenter and a scratch buffer, and yields bounded-size encoded fragments.
+/// fragmenter and yields bounded-size encoded fragments.
 pub struct ChunkedExtraction<T: Timestamp, S: ChunkedCodec, D: Codec> {
     bin: BinId,
     fragmenter: BinFragmenter<T, S, D>,
-    scratch: Vec<u8>,
+    /// The capacity the next fragment's buffer starts with: the shard's hint
+    /// for the first fragment, the fragment budget after a fragment that was
+    /// not the last.
+    fragment_hint: usize,
     exhausted: bool,
 }
 
@@ -1212,18 +1209,26 @@ impl<T: Timestamp, S: ChunkedCodec, D: Codec> ChunkedExtraction<T, S, D> {
 
     /// Encodes the next fragment of at most `chunk_bytes` (single oversized
     /// units excepted) and returns it with a flag marking the final fragment.
-    /// The fragment is encoded into the reusable scratch buffer and copied out
-    /// exactly-sized, so no per-fragment growth reallocation occurs.
+    ///
+    /// The returned vector is the buffer the fragment was encoded into: the
+    /// bytes are written once and handed out, not copied out of a scratch
+    /// buffer. A bin's first buffer starts at the length of the shard's last
+    /// final fragment, every later one at `chunk_bytes`, so a run of full
+    /// fragments allocates each buffer once; a fragment may therefore keep
+    /// capacity beyond its length.
     ///
     /// # Panics
     ///
     /// Panics if called again after the final fragment was returned.
     pub fn next_fragment(&mut self, chunk_bytes: usize) -> (Vec<u8>, bool) {
         assert!(!self.exhausted, "extraction of bin {} already finished", self.bin);
-        self.scratch.clear();
-        let more = self.fragmenter.fill(chunk_bytes.max(1), &mut self.scratch);
+        let mut fragment = Vec::with_capacity(self.fragment_hint.min(chunk_bytes));
+        let more = self.fragmenter.fill(chunk_bytes.max(1), &mut fragment);
+        // A fragment that is not the last stopped at the budget, and so will
+        // the next; the last one is the best guess for the shard's next bin.
+        self.fragment_hint = if more { chunk_bytes } else { fragment.len() };
         self.exhausted = !more;
-        (self.scratch.as_slice().to_vec(), !more)
+        (fragment, !more)
     }
 
     /// Returns `true` once the final fragment has been produced.

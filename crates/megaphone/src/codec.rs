@@ -12,20 +12,24 @@
 //! in [`timelite::codec`] so the cluster transport speaks the identical
 //! format; this module re-exports them and adds the chunked-fragment protocol
 //! on top.
+//!
+//! Sequences of fixed-width values are moved in bulk here too. A `Vec<T>` whose
+//! items all encode to [`Codec::WIDTH`] bytes is fragmented and reassembled on
+//! the slice: one `fill` encodes as many items as its budget has room for with
+//! one [`Codec::encode_slice`], one `absorb` decodes as many as the fragment
+//! holds with one [`Codec::decode_extend`]. The fragment boundaries and the
+//! bytes are those of the item-by-item path, which every other collection and
+//! every variable-width item still takes ([`SeqFragmenter`], [`SeqAssembler`]).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 
 pub use timelite::codec::Codec;
+use timelite::codec::MAX_PRESIZE_ITEMS;
 
 // ---------------------------------------------------------------------------
 // Incremental (chunked) encoding for migration fragments.
 // ---------------------------------------------------------------------------
-
-/// Maximum number of items a decoder pre-sizes a collection for, guarding the
-/// pre-allocation against a corrupt length header. Larger collections still
-/// decode correctly; they just grow past the initial capacity.
-const MAX_PRESIZE_ITEMS: usize = 1 << 20;
 
 /// A streaming encoder that produces a value's canonical [`Codec`] byte stream
 /// in bounded-size fragments.
@@ -179,6 +183,33 @@ where
     }
 }
 
+/// [`Fragmenter`] for vectors. Items of a fixed [`Codec::WIDTH`] leave in bulk:
+/// each `fill` encodes, with one [`Codec::encode_slice`], as many of them as
+/// the budget still has room for (one at least into an empty fragment — the
+/// same boundaries the item-by-item path draws). Items of varying width go
+/// through that path, [`SeqFragmenter`], unchanged.
+pub struct VecFragmenter<T: Codec>(SeqFragmenter<std::vec::IntoIter<T>>);
+
+impl<T: Codec> Fragmenter for VecFragmenter<T> {
+    fn fill(&mut self, budget: usize, buf: &mut Vec<u8>) -> bool {
+        let seq = &mut self.0;
+        let Some(width) = T::WIDTH.filter(|&width| width > 0) else {
+            return seq.fill(budget, buf);
+        };
+        if let Some(len) = seq.header.take() {
+            len.encode(buf);
+        }
+        let room = budget.saturating_sub(buf.len()) / width;
+        let count = room.max(usize::from(buf.is_empty())).min(seq.remaining);
+        if count > 0 {
+            T::encode_slice(&seq.iter.as_slice()[..count], buf);
+            seq.iter.nth(count - 1);
+            seq.remaining -= count;
+        }
+        seq.remaining > 0
+    }
+}
+
 /// Collections a [`SeqAssembler`] can rebuild item by item.
 pub trait FragmentItems<T>: Sized {
     /// Creates an empty collection pre-sized for `items` items (capped
@@ -186,6 +217,15 @@ pub trait FragmentItems<T>: Sized {
     fn with_item_capacity(items: usize) -> Self;
     /// Appends one decoded item.
     fn push_item(&mut self, item: T);
+    /// Appends `count` items decoded back to back from the front of `bytes`.
+    fn extend_decoded(&mut self, count: usize, bytes: &mut &[u8])
+    where
+        T: Codec,
+    {
+        for _ in 0..count {
+            self.push_item(T::decode(bytes));
+        }
+    }
 }
 
 impl<T> FragmentItems<T> for Vec<T> {
@@ -194,6 +234,12 @@ impl<T> FragmentItems<T> for Vec<T> {
     }
     fn push_item(&mut self, item: T) {
         self.push(item);
+    }
+    fn extend_decoded(&mut self, count: usize, bytes: &mut &[u8])
+    where
+        T: Codec,
+    {
+        T::decode_extend(self, count, bytes);
     }
 }
 
@@ -258,6 +304,13 @@ impl<C: FragmentItems<T>, T: Codec> Assembler for SeqAssembler<C, T> {
         }
         let remaining = self.remaining.as_mut().expect("header just ensured");
         let collection = self.collection.as_mut().expect("collection just ensured");
+        // Fixed-width items: every whole item the fragment holds, in one go.
+        // (A well-formed fragment then has nothing left for the loop below.)
+        if let Some(width) = T::WIDTH.filter(|&width| width > 0) {
+            let count = (*remaining).min(bytes.len() / width);
+            collection.extend_decoded(count, bytes);
+            *remaining -= count;
+        }
         while *remaining > 0 && !bytes.is_empty() {
             collection.push_item(T::decode(bytes));
             *remaining -= 1;
@@ -332,10 +385,10 @@ tuple_chunked! {
 }
 
 impl<T: Codec> ChunkedCodec for Vec<T> {
-    type Fragmenter = SeqFragmenter<std::vec::IntoIter<T>>;
+    type Fragmenter = VecFragmenter<T>;
     type Assembler = SeqAssembler<Vec<T>, T>;
     fn into_fragmenter(self) -> Self::Fragmenter {
-        SeqFragmenter::new(self.len(), self.into_iter())
+        VecFragmenter(SeqFragmenter::new(self.len(), self.into_iter()))
     }
     fn assembler() -> Self::Assembler {
         SeqAssembler::new()

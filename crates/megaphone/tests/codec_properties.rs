@@ -246,3 +246,239 @@ fn a_legacy_pending_image_with_unsorted_times_decodes_into_valid_runs() {
     sorted.encode(&mut image);
     assert_eq!(expected.encode_to_vec(), image, "the image stays flat and is now time-sorted");
 }
+
+// ---------------------------------------------------------------------------
+// The bulk path: sequences of fixed-width values move as slices.
+// ---------------------------------------------------------------------------
+
+/// For one primitive whose `Codec` overrides the sequence hooks: at every
+/// length, bulk encode equals the concatenation of per-item encodes and bulk
+/// decode inverts it; `Vec<T>` fragments at budgets around the item width
+/// concatenate to the one-shot encoding and reassemble.
+fn bulk_matches_per_item<T>(generate: impl Fn(&mut Rng) -> T)
+where
+    T: Codec + Clone + PartialEq + std::fmt::Debug,
+{
+    let name = std::any::type_name::<T>();
+    let width = std::mem::size_of::<T>();
+    assert_eq!(T::WIDTH, Some(width), "{name}: fixed width");
+    let mut rng = Rng::new(width as u64 * 13 + 1);
+    for len in [0usize, 1, 7, 1_024, 65_537] {
+        let items: Vec<T> = (0..len).map(|_| generate(&mut rng)).collect();
+        let mut per_item = Vec::new();
+        for item in &items {
+            item.encode(&mut per_item);
+        }
+        assert_eq!(per_item.len(), len * width, "{name} x {len}: per-item width");
+
+        // Appended behind bytes already in the buffer, as inside a record.
+        let mut bulk = vec![0xEE];
+        T::encode_slice(&items, &mut bulk);
+        assert_eq!(&bulk[1..], &per_item[..], "{name} x {len}: bulk encode diverges");
+
+        // Appended behind items already in the vector, as a later fragment is.
+        let mut bytes = &per_item[..];
+        let mut decoded: Vec<T> = items.first().cloned().into_iter().collect();
+        let kept = decoded.len();
+        T::decode_extend(&mut decoded, len, &mut bytes);
+        assert!(bytes.is_empty(), "{name} x {len}: bulk decode left bytes");
+        assert_eq!(&decoded[kept..], &items[..], "{name} x {len}: bulk decode diverges");
+        let mut bytes = &per_item[..];
+        let one_by_one: Vec<T> = (0..len).map(|_| T::decode(&mut bytes)).collect();
+        assert_eq!(one_by_one, items, "{name} x {len}: per-item decode diverges");
+
+        let mut whole = (len as u64).to_le_bytes().to_vec();
+        whole.extend_from_slice(&per_item);
+        assert_eq!(items.encode_to_vec(), whole, "{name} x {len}: Vec encoding");
+        assert_eq!(Vec::<T>::decode_from_slice(&whole), items, "{name} x {len}: Vec decoding");
+
+        for budget in [1, width - 1, width, 64, 64 << 10] {
+            let budget = budget.max(1);
+            let fragments = check(items.clone(), budget, len as u64);
+            // The boundaries of the item-by-item path: whole items up to the
+            // budget, one at least into an empty fragment, the header alone
+            // when no item fits behind it.
+            let per_fragment = (budget / width).max(1);
+            let behind_header = budget.saturating_sub(8) / width;
+            let expected = 1 + (len - behind_header.min(len)).div_ceil(per_fragment);
+            assert_eq!(fragments.len(), expected, "{name} x {len} budget {budget}: boundaries");
+        }
+    }
+}
+
+#[test]
+fn every_overridden_primitive_moves_in_bulk_byte_identically() {
+    bulk_matches_per_item(|rng| rng.next() as u8);
+    bulk_matches_per_item(|rng| rng.next() as u16);
+    bulk_matches_per_item(|rng| rng.next() as u32);
+    bulk_matches_per_item(|rng| rng.next());
+    bulk_matches_per_item(|rng| (rng.next() as u128) << 64 | rng.next() as u128);
+    bulk_matches_per_item(|rng| rng.next() as i8);
+    bulk_matches_per_item(|rng| rng.next() as i16);
+    bulk_matches_per_item(|rng| rng.next() as i32);
+    bulk_matches_per_item(|rng| rng.next() as i64);
+    bulk_matches_per_item(|rng| ((rng.next() as u128) << 64 | rng.next() as u128) as i128);
+    // Finite floats only: `check` compares values, and NaN is not equal to itself.
+    bulk_matches_per_item(|rng| rng.next() as i32 as f32 / 7.0);
+    bulk_matches_per_item(|rng| rng.next() as i64 as f64 / 7.0);
+}
+
+/// Pins the bytes, so the wire format cannot drift silently: one migration
+/// fragment, and the frame that carries it to a worker of another process.
+#[test]
+fn golden_bytes_of_a_state_fragment_and_its_wire_frame() {
+    use megaphone::StateFragment;
+    use timelite::communication::{encode_frame, Envelope, MultiBatch, Payload};
+
+    let fragment = StateFragment { bin: 0x0102, bytes: vec![0xAA, 0xBB, 0xCC], last: true };
+    #[rustfmt::skip]
+    let fragment_bytes = [
+        0x02, 0x01, 0, 0, 0, 0, 0, 0,   // bin
+        3, 0, 0, 0, 0, 0, 0, 0,         // payload length
+        0xAA, 0xBB, 0xCC,               // payload
+        1,                              // last
+    ];
+    assert_eq!(fragment.encode_to_vec(), fragment_bytes);
+    assert_eq!(StateFragment::decode_from_slice(&fragment_bytes), fragment);
+
+    let batches: MultiBatch<u64, (u64, StateFragment)> = vec![(7, vec![(1, fragment)])];
+    let envelope =
+        Envelope { dataflow: 2, channel: 5, from: 0, payload: Payload::Data(Box::new(batches.clone())) };
+    #[rustfmt::skip]
+    let frame_bytes = [
+        85, 0, 0, 0, 0, 0, 0, 0,        // frame length: 33 header + 52 payload
+        2, 0, 0, 0, 0, 0, 0, 0,         // dataflow
+        5, 0, 0, 0, 0, 0, 0, 0,         // channel
+        0, 0, 0, 0, 0, 0, 0, 0,         // from
+        1, 0, 0, 0, 0, 0, 0, 0,         // to
+        0,                              // kind: data
+        1, 0, 0, 0, 0, 0, 0, 0,         // (time, batch) pairs
+        7, 0, 0, 0, 0, 0, 0, 0,         // time
+        1, 0, 0, 0, 0, 0, 0, 0,         // records in the batch
+        1, 0, 0, 0, 0, 0, 0, 0,         // destination worker
+        0x02, 0x01, 0, 0, 0, 0, 0, 0,   // the fragment, as above
+        3, 0, 0, 0, 0, 0, 0, 0,
+        0xAA, 0xBB, 0xCC,
+        1,
+    ];
+    assert_eq!(encode_frame(&envelope, 1).to_bytes(), frame_bytes);
+    assert_eq!(MultiBatch::<u64, (u64, StateFragment)>::decode_from_slice(&frame_bytes[41..]), batches);
+}
+
+// ---------------------------------------------------------------------------
+// Complexity, counted: calls into the item type per sequence.
+// ---------------------------------------------------------------------------
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Calls into one test type's `Codec` impl: `[encode, decode, encode_slice,
+/// decode_extend]`.
+struct Calls([AtomicUsize; 4]);
+
+impl Calls {
+    const fn new() -> Self {
+        Calls([AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)])
+    }
+    fn hit(&self, which: usize) {
+        self.0[which].fetch_add(1, Ordering::Relaxed);
+    }
+    fn take(&self) -> [usize; 4] {
+        [0, 1, 2, 3].map(|which| self.0[which].swap(0, Ordering::Relaxed))
+    }
+}
+
+/// A byte as `u8` implements it — per-item methods plus the sequence hooks,
+/// each forwarding to `u8`'s — with every call counted. (`u8` itself cannot
+/// be instrumented; what is pinned is that sequences reach the hooks.)
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct BulkByte(u8);
+static BULK_CALLS: Calls = Calls::new();
+
+impl Codec for BulkByte {
+    const WIDTH: Option<usize> = Some(1);
+    fn encode(&self, bytes: &mut Vec<u8>) {
+        BULK_CALLS.hit(0);
+        self.0.encode(bytes);
+    }
+    fn decode(bytes: &mut &[u8]) -> Self {
+        BULK_CALLS.hit(1);
+        BulkByte(u8::decode(bytes))
+    }
+    fn encode_slice(items: &[Self], bytes: &mut Vec<u8>) {
+        BULK_CALLS.hit(2);
+        bytes.extend(items.iter().map(|item| item.0));
+    }
+    fn decode_extend(out: &mut Vec<Self>, count: usize, bytes: &mut &[u8]) {
+        BULK_CALLS.hit(3);
+        let mut raw = Vec::new();
+        u8::decode_extend(&mut raw, count, bytes);
+        out.extend(raw.into_iter().map(BulkByte));
+    }
+}
+
+/// A byte that implements only `encode` and `decode`: the defaults of the
+/// sequence hooks must call each exactly once per item.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct PlainByte(u8);
+static PLAIN_CALLS: Calls = Calls::new();
+
+impl Codec for PlainByte {
+    fn encode(&self, bytes: &mut Vec<u8>) {
+        PLAIN_CALLS.hit(0);
+        self.0.encode(bytes);
+    }
+    fn decode(bytes: &mut &[u8]) -> Self {
+        PLAIN_CALLS.hit(1);
+        PlainByte(u8::decode(bytes))
+    }
+}
+
+/// Sends `(bin, payload, last)` records shaped like a migration fragment
+/// through the path a fragment takes to another process — staged batch →
+/// `encode_frame` → the receiving channel's decode — and returns the payload
+/// bytes that came out.
+fn through_a_frame<B: Codec + Clone + PartialEq + std::fmt::Debug + Send + 'static>(
+    payload: Vec<B>,
+) -> usize {
+    use timelite::communication::{decode_frame, encode_frame, Envelope, MultiBatch, Payload};
+    type Fragment<B> = (u64, Vec<B>, bool);
+    let batches: MultiBatch<u64, (u64, Fragment<B>)> = vec![(3, vec![(1, (9, payload, true))])];
+    let envelope =
+        Envelope { dataflow: 0, channel: 1, from: 0, payload: Payload::Data(Box::new(batches.clone())) };
+    let frame = encode_frame(&envelope, 1).to_bytes();
+    let (received, to) = decode_frame(&frame[8..]);
+    assert_eq!(to, 1);
+    let Payload::DataBytes(bytes) = received.payload else {
+        panic!("a frame's payload arrives encoded");
+    };
+    assert_eq!(MultiBatch::<u64, (u64, Fragment<B>)>::decode_from_slice(&bytes), batches);
+    bytes.len()
+}
+
+#[test]
+fn a_fragment_payload_costs_constant_calls_in_bulk_and_one_per_item_by_default() {
+    const PAYLOAD: usize = 64 << 10;
+    let bulk = through_a_frame((0..PAYLOAD).map(|at| BulkByte(at as u8)).collect());
+    assert_eq!(
+        BULK_CALLS.take(),
+        [0, 0, 1, 1],
+        "a 64 KiB payload must be one encode_slice and one decode_extend, no per-byte call"
+    );
+    let plain = through_a_frame((0..PAYLOAD).map(|at| PlainByte(at as u8)).collect());
+    assert_eq!(
+        PLAIN_CALLS.take(),
+        [PAYLOAD, PAYLOAD, 0, 0],
+        "the default hooks must make exactly one encode and one decode per item"
+    );
+    assert_eq!(bulk, plain, "both are the same bytes on the wire");
+
+    // The same holds fragment by fragment: one hook call per fill and absorb.
+    let fragments = check((0..PAYLOAD).map(|at| BulkByte(at as u8)).collect::<Vec<_>>(), 4 << 10, 0);
+    let [encodes, decodes, slices, extends] = BULK_CALLS.take();
+    // `check` also encodes the value one-shot: one more encode_slice.
+    assert_eq!((encodes, decodes), (0, 0), "no per-item call on the fragment path");
+    assert_eq!(slices, fragments.len() + 1, "one encode_slice per fragment");
+    assert_eq!(extends, fragments.len(), "one decode_extend per fragment");
+    check((0..100).map(PlainByte).collect::<Vec<_>>(), 16, 0);
+    assert_eq!(PLAIN_CALLS.take(), [200, 100, 0, 0], "per item: one-shot + fragments, then decode");
+}

@@ -10,6 +10,20 @@
 //! (`megaphone::codec`, which re-exports it and builds chunked encoding on
 //! top) speak one format.
 //!
+//! Sequences of fixed-width values are moved in bulk. [`Codec`] carries a
+//! sequence-level primitive next to the per-value one — [`Codec::encode_slice`],
+//! [`Codec::decode_extend`] and [`Codec::WIDTH`] — whose defaults loop over the
+//! items; `u8` overrides it with one `extend_from_slice` each way and the
+//! fixed-width integers and floats with one pass over a `chunks_exact` view
+//! that the compiler vectorises. `Vec<T>` (from 16 items up; shorter ones are
+//! cheaper item by item) and `VecDeque<T>` go through it, and `String` moves
+//! its bytes the same way, so a migration fragment (a `Vec<u8>`) or a dense
+//! bin (a `Vec<u64>`) crosses this layer as one copy, not one call per element
+//! — and a length header is checked against the bytes that follow it before
+//! anything is allocated.
+//! The bytes are the same either way: a sequence is its `u64` length followed
+//! by its items back to back.
+//!
 //! [`TcpAllocator`]: crate::communication::net
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -135,12 +149,49 @@ impl std::fmt::Debug for Slab {
     }
 }
 
+/// Maximum number of items a decoder pre-sizes a collection for before it has
+/// seen them, guarding the pre-allocation against a corrupt length header.
+/// Larger collections still decode correctly; they grow past the initial
+/// capacity.
+pub const MAX_PRESIZE_ITEMS: usize = 1 << 20;
+
 /// Types that can be serialized into the wire format.
 pub trait Codec: Sized {
+    /// The encoded size in bytes of every value of this type, when all values
+    /// encode to the same number of bytes. `None` (the default) for types
+    /// whose encoding varies in length, or that do not say.
+    const WIDTH: Option<usize> = None;
+
     /// Appends the encoding of `self` to `bytes`.
     fn encode(&self, bytes: &mut Vec<u8>);
     /// Decodes a value from the front of `bytes`, advancing the slice.
     fn decode(bytes: &mut &[u8]) -> Self;
+
+    /// Appends the encodings of `items`, back to back, to `bytes`: exactly the
+    /// bytes one [`encode`](Codec::encode) per item would append.
+    fn encode_slice(items: &[Self], bytes: &mut Vec<u8>) {
+        for item in items {
+            item.encode(bytes);
+        }
+    }
+
+    /// Decodes `count` values from the front of `bytes`, advancing the slice,
+    /// and appends them to `out`: what `count` calls of
+    /// [`decode`](Codec::decode) would have pushed.
+    ///
+    /// `count` usually comes from a length header nobody has checked, so no
+    /// implementation may allocate for more than [`MAX_PRESIZE_ITEMS`] items
+    /// it has not yet found the bytes of.
+    fn decode_extend(out: &mut Vec<Self>, count: usize, bytes: &mut &[u8]) {
+        let mut remaining = count;
+        while remaining > 0 {
+            // `extend` reserves for the whole range it is given, then fills it
+            // without a capacity check per item.
+            let step = remaining.min(MAX_PRESIZE_ITEMS);
+            out.extend((0..step).map(|_| Self::decode(bytes)));
+            remaining -= step;
+        }
+    }
 
     /// Encodes `self` into a fresh buffer.
     fn encode_to_vec(&self) -> Vec<u8> {
@@ -163,10 +214,53 @@ fn take<'a>(bytes: &mut &'a [u8], len: usize) -> &'a [u8] {
     head
 }
 
-macro_rules! integer_codec {
+/// Takes the bytes of `count` back-to-back `T`s of `width` bytes each off the
+/// front of `bytes`, checking the (unchecked, possibly corrupt) `count`
+/// against the bytes that are really there before anything is sliced or
+/// allocated for it.
+///
+/// # Panics
+///
+/// Panics, like [`take`], if `bytes` is shorter than the items it is said to
+/// hold.
+fn take_items<'a, T>(bytes: &mut &'a [u8], count: usize, width: usize) -> &'a [u8] {
+    match count.checked_mul(width) {
+        Some(len) if len <= bytes.len() => take(bytes, len),
+        _ => panic!(
+            "corrupt length: {count} x {width}-byte {} in {} remaining bytes",
+            std::any::type_name::<T>(),
+            bytes.len()
+        ),
+    }
+}
+
+impl Codec for u8 {
+    const WIDTH: Option<usize> = Some(1);
+    #[inline]
+    fn encode(&self, bytes: &mut Vec<u8>) {
+        // Not `push`: as a record's tag between `extend_from_slice` fields it
+        // measured a third slower (`Vec<Event>`, 4.9 against 3.4 GB/s).
+        bytes.extend_from_slice(&[*self]);
+    }
+    #[inline]
+    fn decode(bytes: &mut &[u8]) -> Self {
+        take(bytes, 1)[0]
+    }
+    #[inline]
+    fn encode_slice(items: &[Self], bytes: &mut Vec<u8>) {
+        bytes.extend_from_slice(items);
+    }
+    #[inline]
+    fn decode_extend(out: &mut Vec<Self>, count: usize, bytes: &mut &[u8]) {
+        out.extend_from_slice(take_items::<u8>(bytes, count, 1));
+    }
+}
+
+macro_rules! fixed_width_codec {
     ($($ty:ty),*) => {
         $(
             impl Codec for $ty {
+                const WIDTH: Option<usize> = Some(std::mem::size_of::<$ty>());
                 #[inline]
                 fn encode(&self, bytes: &mut Vec<u8>) {
                     bytes.extend_from_slice(&self.to_le_bytes());
@@ -177,12 +271,27 @@ macro_rules! integer_codec {
                     buf.copy_from_slice(take(bytes, std::mem::size_of::<$ty>()));
                     <$ty>::from_le_bytes(buf)
                 }
+                fn encode_slice(items: &[Self], bytes: &mut Vec<u8>) {
+                    const SIZE: usize = std::mem::size_of::<$ty>();
+                    let start = bytes.len();
+                    bytes.resize(start + items.len() * SIZE, 0);
+                    for (chunk, item) in bytes[start..].chunks_exact_mut(SIZE).zip(items) {
+                        chunk.copy_from_slice(&item.to_le_bytes());
+                    }
+                }
+                fn decode_extend(out: &mut Vec<Self>, count: usize, bytes: &mut &[u8]) {
+                    const SIZE: usize = std::mem::size_of::<$ty>();
+                    let raw = take_items::<$ty>(bytes, count, SIZE);
+                    out.extend(raw.chunks_exact(SIZE).map(|chunk| {
+                        <$ty>::from_le_bytes(chunk.try_into().expect("chunks_exact yields SIZE bytes"))
+                    }));
+                }
             }
         )*
     };
 }
 
-integer_codec!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
+fixed_width_codec!(u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
 
 impl Codec for usize {
     fn encode(&self, bytes: &mut Vec<u8>) {
@@ -232,7 +341,8 @@ impl Codec for String {
     }
     fn decode(bytes: &mut &[u8]) -> Self {
         let len = usize::decode(bytes);
-        String::from_utf8(take(bytes, len).to_vec()).expect("invalid utf-8 in encoded string")
+        String::from_utf8(take_items::<u8>(bytes, len, 1).to_vec())
+            .expect("invalid utf-8 in encoded string")
     }
 }
 
@@ -254,29 +364,42 @@ impl<T: Codec> Codec for Option<T> {
     }
 }
 
+/// Vectors shorter than this (the handful of ids or counters inside one map
+/// entry) are encoded and decoded item by item, inline and into an exactly
+/// sized allocation: cheaper than setting up a bulk pass.
+const BULK_MIN_ITEMS: usize = 16;
+
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, bytes: &mut Vec<u8>) {
         self.len().encode(bytes);
-        for item in self {
-            item.encode(bytes);
+        if self.len() < BULK_MIN_ITEMS {
+            for item in self {
+                item.encode(bytes);
+            }
+        } else {
+            T::encode_slice(self, bytes);
         }
     }
     fn decode(bytes: &mut &[u8]) -> Self {
         let len = usize::decode(bytes);
-        (0..len).map(|_| T::decode(bytes)).collect()
+        if len < BULK_MIN_ITEMS {
+            return (0..len).map(|_| T::decode(bytes)).collect();
+        }
+        let mut items = Vec::new();
+        T::decode_extend(&mut items, len, bytes);
+        items
     }
 }
 
 impl<T: Codec> Codec for VecDeque<T> {
     fn encode(&self, bytes: &mut Vec<u8>) {
         self.len().encode(bytes);
-        for item in self {
-            item.encode(bytes);
-        }
+        let (front, back) = self.as_slices();
+        T::encode_slice(front, bytes);
+        T::encode_slice(back, bytes);
     }
     fn decode(bytes: &mut &[u8]) -> Self {
-        let len = usize::decode(bytes);
-        (0..len).map(|_| T::decode(bytes)).collect()
+        Vec::decode(bytes).into()
     }
 }
 
@@ -395,6 +518,57 @@ mod tests {
     fn timestamps_roundtrip() {
         roundtrip(Product::new(3u64, 7u64));
         roundtrip(Product::new(Product::new(1u32, 2u32), 9u64));
+    }
+
+    #[test]
+    fn sequences_roundtrip_through_the_bulk_path() {
+        roundtrip(Vec::<u8>::new());
+        roundtrip((0..=255u8).collect::<Vec<_>>());
+        // Short vectors go item by item, long ones through the hooks.
+        for len in [BULK_MIN_ITEMS - 1, BULK_MIN_ITEMS, 1_000] {
+            roundtrip((0..len as i128).map(|at| i128::MIN + at * at).collect::<Vec<_>>());
+            roundtrip((0..len).map(|at| at as f32 - 0.5).collect::<Vec<_>>());
+        }
+        // A deque whose contents wrap around its ring buffer is two slices.
+        let mut deque: VecDeque<u32> = (0..8).collect();
+        deque.rotate_left(3);
+        deque.push_front(99);
+        roundtrip(deque);
+    }
+
+    /// A corrupt length header: 2^40 items "follow" in a handful of bytes.
+    fn hostile(trailing: usize) -> Vec<u8> {
+        let mut bytes = (1u64 << 40).encode_to_vec();
+        bytes.resize(8 + trailing, 0);
+        bytes
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt length: 1099511627776 x 8-byte u64 in 24 remaining bytes")]
+    fn a_hostile_length_is_checked_before_fixed_width_items_are_allocated() {
+        let _ = Vec::<u64>::decode(&mut &hostile(24)[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt length: 1099511627776 x 1-byte u8 in 3 remaining bytes")]
+    fn a_hostile_length_is_checked_before_bytes_are_sliced() {
+        let _ = String::decode(&mut &hostile(3)[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt length: 18446744073709551615 x 16-byte u128")]
+    fn a_hostile_length_whose_byte_count_overflows_is_rejected() {
+        let _ = VecDeque::<u128>::decode(&mut &u64::MAX.encode_to_vec()[..]);
+    }
+
+    /// The per-item default pre-sizes for at most `MAX_PRESIZE_ITEMS`, so a
+    /// hostile header panics at the first missing item (the `take`
+    /// convention) instead of asking the allocator for terabytes, which
+    /// aborts the process.
+    #[test]
+    #[should_panic]
+    fn a_hostile_length_does_not_presize_the_per_item_path() {
+        let _ = Vec::<(u64, String)>::decode(&mut &hostile(4)[..]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::codec::Codec;
+use crate::codec::{Codec, Slab};
 use crate::communication::allocator::{send_to, Envelope, Payload, WorkerSender};
 use crate::order::Timestamp;
 use crate::progress::ChangeBatch;
@@ -146,15 +146,16 @@ pub struct Pusher<T: Timestamp, D> {
 /// Default adaptive flush budget: 1 MiB of estimated staged bytes per target.
 const DEFAULT_FLUSH_BUDGET: usize = 1 << 20;
 
-/// Environment variable overriding the adaptive flush budget, in bytes.
-const FLUSH_BUDGET_ENV: &str = "TIMELITE_FLUSH_BUDGET_BYTES";
-
-fn flush_budget_from_env() -> usize {
-    std::env::var(FLUSH_BUDGET_ENV)
-        .ok()
-        .and_then(|value| value.parse().ok())
-        .filter(|&bytes| bytes > 0)
-        .unwrap_or(DEFAULT_FLUSH_BUDGET)
+/// Encodes the batches staged for a remote target into the slab its frame will
+/// carry. The buffer is sized once, from the bytes the pusher counted while
+/// staging (`staged_bytes`) plus the length headers the count leaves out, so a
+/// megabyte of fragments is written into one allocation instead of doubling
+/// up to it; an estimate that fell short only costs the usual growth.
+fn encode_staged<T: Codec, D: Codec>(batches: &MultiBatch<T, D>, staged_bytes: usize) -> Slab {
+    let headers = 8 + batches.len() * (std::mem::size_of::<T>() + 8);
+    let mut bytes = Vec::with_capacity(staged_bytes + headers);
+    batches.encode(&mut bytes);
+    Slab::new(bytes)
 }
 
 impl<T: Timestamp, D: Data> Pusher<T, D> {
@@ -183,7 +184,7 @@ impl<T: Timestamp, D: Data> Pusher<T, D> {
             size_scratch: vec![0; peers],
             staged: (0..peers).map(|_| Vec::new()).collect(),
             staged_bytes: vec![0; peers],
-            flush_budget: flush_budget_from_env(),
+            flush_budget: DEFAULT_FLUSH_BUDGET,
             activations: None,
         }
     }
@@ -255,23 +256,29 @@ impl<T: Timestamp, D: Data> Pusher<T, D> {
         }
     }
 
-    /// Sends every batch staged for `target` as one coalesced envelope.
+    /// Sends every batch staged for `target` as one coalesced envelope: the
+    /// batches themselves to a worker of this process, their encoding to a
+    /// worker of another one.
     fn flush_target(&mut self, target: usize) {
         if self.staged[target].is_empty() {
             return;
         }
         let batches = std::mem::take(&mut self.staged[target]);
-        self.staged_bytes[target] = 0;
-        let message: Box<MultiBatch<T, D>> = Box::new(batches);
+        let staged_bytes = std::mem::take(&mut self.staged_bytes[target]);
+        let payload = if self.senders[target].is_remote() {
+            Payload::DataBytes(encode_staged(&batches, staged_bytes))
+        } else {
+            Payload::Data(Box::new(batches))
+        };
+        self.send(target, payload);
+    }
+
+    /// Sends `payload` to `target` in this channel's envelope.
+    fn send(&self, target: usize, payload: Payload) {
         send_to(
             &self.senders,
             target,
-            Envelope {
-                dataflow: self.dataflow,
-                channel: self.channel,
-                from: self.index,
-                payload: Payload::Data(message),
-            },
+            Envelope { dataflow: self.dataflow, channel: self.channel, from: self.index, payload },
         );
     }
 
@@ -349,21 +356,21 @@ impl<T: Timestamp, D: Data> Pusher<T, D> {
     /// encoding: their staged buffers are maintained in lockstep — every push
     /// appends the same batch to each, and budget overflows trip for all of
     /// them within the same push — so the wire bytes are produced once, into a
-    /// ref-counted [`Slab`](crate::codec::Slab), and every extra target costs
+    /// ref-counted [`Slab`], and every extra target costs
     /// one slab handle instead of a re-encode or a byte-vector clone.
     pub fn flush(&mut self) {
         if matches!(self.pact, Pact::Broadcast) {
             // The desync guard compares batch *shape* (times and record
             // counts), never re-encodes: the encode-once property is pinned by
             // a test counting record encode calls.
-            let mut encoded: Option<(crate::codec::Slab, Vec<(T, usize)>)> = None;
+            let mut encoded: Option<(Slab, Vec<(T, usize)>)> = None;
             for target in 0..self.peers {
                 if self.staged[target].is_empty() || !self.senders[target].is_remote() {
                     self.flush_target(target);
                     continue;
                 }
                 let batches = std::mem::take(&mut self.staged[target]);
-                self.staged_bytes[target] = 0;
+                let staged_bytes = std::mem::take(&mut self.staged_bytes[target]);
                 let shape =
                     || batches.iter().map(|(time, batch)| (time.clone(), batch.len())).collect();
                 let slab = match &encoded {
@@ -377,21 +384,12 @@ impl<T: Timestamp, D: Data> Pusher<T, D> {
                     }
                     None => {
                         let shape: Vec<(T, usize)> = shape();
-                        let slab = crate::codec::Slab::new(batches.encode_to_vec());
+                        let slab = encode_staged(&batches, staged_bytes);
                         encoded = Some((slab.clone(), shape));
                         slab
                     }
                 };
-                send_to(
-                    &self.senders,
-                    target,
-                    Envelope {
-                        dataflow: self.dataflow,
-                        channel: self.channel,
-                        from: self.index,
-                        payload: Payload::DataBytes(slab),
-                    },
-                );
+                self.send(target, Payload::DataBytes(slab));
             }
             return;
         }
