@@ -8,7 +8,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use megaphone::codec::{encode_fragments, Assembler, Fragmenter};
 use megaphone::storage::DurableConfig;
-use megaphone::{Bin, BinStore, ChunkedCodec, Codec, MegaphoneConfig};
+use megaphone::{Bin, BinStore, ChunkedCodec, Codec, Either, FlatTable, MegaphoneConfig};
+use nexmark::queries::q8::Q8State;
+use nexmark::{Auction, Person};
 use timelite::hashing::FxHashMap;
 
 type LargeBin = Bin<u64, FxHashMap<u64, u64>, (u64, u64)>;
@@ -159,8 +161,75 @@ fn bench_durable_install(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// One bin through the store's migration path, the loop F and S run: the
+/// bin is extracted, pumped fragment by fragment and installed again.
+/// Returns the bytes moved.
+fn migrate_round_trip<S, D>(store: &mut BinStore<u64, S, D>) -> usize
+where
+    S: ChunkedCodec + 'static,
+    D: Codec + 'static,
+{
+    let mut extraction = store.extract_chunked(0).expect("bin 0 is hosted");
+    let mut bytes = 0;
+    loop {
+        let (fragment, last) = extraction.next_fragment(CHUNK_BYTES);
+        bytes += fragment.len();
+        let installed = store.install_fragment(0, &fragment, last);
+        if last {
+            assert!(installed, "the last fragment installs the bin");
+            break;
+        }
+    }
+    store.recycle(extraction);
+    bytes
+}
+
+/// The layer proof of the flat state layout: a Q8 bin as `q8_cluster2` moves
+/// it — 1 300 registered sellers in a [`FlatTable`] and the window's one
+/// pending sweep — against a `Vec<u64>` bin of the same encoded size, both
+/// through `extract_chunked` → `next_fragment` → `install_fragment`. The two
+/// times are MB/s in the same ratio; the flat bin must stay within 2x of the
+/// vector. (As a `FxHashMap<u64, (Option<(u64, String)>, Vec<u64>)>` with one
+/// reminder per seller the same sellers were 122 KB and took 66 µs to extract
+/// plus 110 µs to install.)
+fn bench_q8_shape(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bin_migrate_large/q8_shape");
+    let config = MegaphoneConfig::new(0);
+
+    let mut sellers = FlatTable::new();
+    for seller in 0..1_300u64 {
+        sellers.insert(seller * 0x9e37_79b9, 17, format!("seller {seller:>5}").as_bytes());
+    }
+    // `Q8State` is the table followed by its (here empty) waiting lists.
+    let mut image = sellers.encode_to_vec();
+    0u64.encode(&mut image);
+    let sweep = Person {
+        id: 0,
+        name: String::new(),
+        city: String::new(),
+        state: String::new(),
+        date_time: u64::MAX,
+    };
+    let mut flat = BinStore::<u64, Q8State, Either<Person, Auction>>::new(&config, 0, 1);
+    *flat.bin_mut(0) = Bin {
+        state: Q8State::decode_from_slice(&image),
+        pending: vec![(18 * 60_000 + 10_000, vec![Either::Left(sweep)])],
+    };
+    let bytes = migrate_round_trip(&mut flat);
+    group.bench_function("flat", |b| b.iter(|| migrate_round_trip(&mut flat)));
+
+    let mut vec = BinStore::<u64, Vec<u64>, u64>::new(&config, 0, 1);
+    // State and pending headers aside, eight bytes a word.
+    vec.bin_mut(0).state = (0..(bytes as u64 - 16) / 8).collect();
+    assert_eq!(migrate_round_trip(&mut vec), bytes / 8 * 8, "the same size, to the word");
+    group.bench_function("vec", |b| b.iter(|| migrate_round_trip(&mut vec)));
+    eprintln!("bin_migrate_large/q8_shape: {bytes} bytes per bin and round trip");
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_q8_shape,
     bench_whole_roundtrip,
     bench_chunked_roundtrip,
     bench_stall_whole,

@@ -210,6 +210,81 @@ impl<T: Codec> Fragmenter for VecFragmenter<T> {
     }
 }
 
+/// [`Fragmenter`] for a value that is two sections back to back, sharing one
+/// fragment budget: `first` until it is exhausted, then `second`, in the same
+/// fragment when there is room. Nest it for more sections.
+///
+/// Every section is expected to open with an 8-byte header (a count or a
+/// length) that its fragmenter emits unconditionally, so `second` is only
+/// started in a fragment that still has room for one: no fragment overshoots
+/// its budget by a header.
+pub struct ChainFragmenter<A, B> {
+    /// `None` once the first section is exhausted.
+    first: Option<A>,
+    second: B,
+}
+
+impl<A, B> ChainFragmenter<A, B> {
+    /// Chains `first` and `second`.
+    pub fn new(first: A, second: B) -> Self {
+        ChainFragmenter { first: Some(first), second }
+    }
+}
+
+impl<A: Fragmenter, B: Fragmenter> Fragmenter for ChainFragmenter<A, B> {
+    fn fill(&mut self, budget: usize, buf: &mut Vec<u8>) -> bool {
+        if let Some(first) = &mut self.first {
+            if first.fill(budget, buf) {
+                return true;
+            }
+            self.first = None;
+            if buf.len() + std::mem::size_of::<u64>() > budget && !buf.is_empty() {
+                return true;
+            }
+        }
+        self.second.fill(budget, buf)
+    }
+}
+
+/// [`Assembler`] for what a [`ChainFragmenter`] produced: feeds bytes to the
+/// first section's assembler until it completes, the rest to the second's, and
+/// `build`s the value from the two reassembled sections — where a type checks
+/// what it was sent before anyone uses it.
+pub struct ChainAssembler<A: Assembler, B: Assembler, V> {
+    first: A,
+    second: B,
+    build: fn(A::Value, B::Value) -> V,
+}
+
+impl<A: Assembler, B: Assembler, V> ChainAssembler<A, B, V> {
+    /// Chains `first` and `second`; `build` turns the two sections into the value.
+    pub fn new(first: A, second: B, build: fn(A::Value, B::Value) -> V) -> Self {
+        ChainAssembler { first, second, build }
+    }
+}
+
+impl<A: Assembler, B: Assembler, V> Assembler for ChainAssembler<A, B, V> {
+    type Value = V;
+    fn absorb(&mut self, bytes: &mut &[u8]) {
+        if !self.first.is_complete() {
+            if bytes.is_empty() {
+                return;
+            }
+            self.first.absorb(bytes);
+            if !self.first.is_complete() {
+                return;
+            }
+        }
+        self.second.absorb(bytes);
+    }
+    fn is_complete(&self) -> bool {
+        self.first.is_complete() && self.second.is_complete()
+    }
+    fn finish(self) -> V {
+        (self.build)(self.first.finish(), self.second.finish())
+    }
+}
+
 /// Collections a [`SeqAssembler`] can rebuild item by item.
 pub trait FragmentItems<T>: Sized {
     /// Creates an empty collection pre-sized for `items` items (capped

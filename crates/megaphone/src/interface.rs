@@ -43,7 +43,8 @@ impl<A: Codec, B: Codec> Codec for Either<A, B> {
     fn decode(bytes: &mut &[u8]) -> Self {
         match u8::decode(bytes) {
             0 => Either::Left(A::decode(bytes)),
-            _ => Either::Right(B::decode(bytes)),
+            1 => Either::Right(B::decode(bytes)),
+            tag => panic!("corrupt Either: tag byte {tag} is neither 0 (Left) nor 1 (Right)"),
         }
     }
 }

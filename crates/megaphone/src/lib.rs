@@ -20,6 +20,9 @@
 //!   downstream frontier shows all earlier work absorbed; `S` hosts the bins,
 //!   installs migrated state and applies records in timestamp order. The two
 //!   share the worker-local bin store through a shared pointer.
+//! * **State whose memory is its wire image** ([`flat`]): a `u64`-keyed table
+//!   of fixed-width slots over a byte arena, for map-shaped bins that should
+//!   migrate at the speed of a `Vec`.
 //! * **Operator interfaces** ([`interface`]): `state_machine`, `unary` and
 //!   `binary` stateful operators with an extra control input, mirroring
 //!   Listing 1 of the paper. Post-dated records are managed by a
@@ -93,6 +96,7 @@ pub mod codec;
 pub mod control;
 pub mod controller;
 pub mod ctl;
+pub mod flat;
 pub mod interface;
 pub mod notificator;
 pub mod operator;
@@ -111,6 +115,7 @@ pub use control::{
 };
 pub use controller::{ClosedLoopController, ControllerStatus, MigrationController};
 pub use ctl::{CtlClient, CtlServer, CTL_MAGIC};
+pub use flat::FlatTable;
 pub use interface::{state_machine, stateful_binary, Either, MegaphoneStream};
 pub use notificator::{Notificator, PendingQueue, WakeupQueue};
 pub use operator::{stateful_unary, StatefulOutput};
@@ -130,6 +135,7 @@ pub mod prelude {
     pub use crate::codec::{ChunkedCodec, Codec};
     pub use crate::control::ControlInst;
     pub use crate::controller::{ClosedLoopController, ControllerStatus, MigrationController};
+    pub use crate::flat::FlatTable;
     pub use crate::interface::{state_machine, stateful_binary, Either, MegaphoneStream};
     pub use crate::notificator::Notificator;
     pub use crate::operator::{stateful_unary, StatefulOutput};

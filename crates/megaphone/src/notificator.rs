@@ -315,6 +315,13 @@ impl<'a, T: Timestamp + TotalOrder, D> Notificator<'a, T, D> {
         }
     }
 
+    /// Returns `true` iff this bin already has a record scheduled for exactly
+    /// `time` — a fold that needs one reminder per (bin, time), however many
+    /// of its records ask for it, checks here before scheduling another.
+    pub fn is_scheduled(&self, time: &T) -> bool {
+        self.bin_pending.binary_search_by(|(run, _)| run.cmp(time)).is_ok()
+    }
+
     /// The number of records currently pending for this bin.
     pub fn pending_len(&self) -> usize {
         pending_records(self.bin_pending)
@@ -392,6 +399,8 @@ mod tests {
             notificator.notify_at(8, "same run".to_string());
             notificator.notify_at(6, "earlier".to_string());
             assert_eq!(notificator.pending_len(), 3);
+            assert!(notificator.is_scheduled(&8) && notificator.is_scheduled(&6));
+            assert!(!notificator.is_scheduled(&7));
         }
         assert_eq!(
             pending,

@@ -482,3 +482,237 @@ fn a_fragment_payload_costs_constant_calls_in_bulk_and_one_per_item_by_default()
     check((0..100).map(PlainByte).collect::<Vec<_>>(), 16, 0);
     assert_eq!(PLAIN_CALLS.take(), [200, 100, 0, 0], "per item: one-shot + fragments, then decode");
 }
+
+// ---------------------------------------------------------------------------
+// The flat table: a map whose memory is its wire image.
+// ---------------------------------------------------------------------------
+
+/// A table of `entries` random entries: keys with only their high bits set and
+/// plain small ones, payloads of 0 to 40 bytes.
+fn random_table(rng: &mut Rng, entries: u64) -> FlatTable {
+    let mut table = FlatTable::new();
+    for index in 0..entries {
+        let key = if rng.below(2) == 0 { index } else { rng.next() << 40 };
+        let payload: Vec<u8> = (0..rng.below(41)).map(|_| rng.next() as u8).collect();
+        table.insert(key, rng.next(), &payload);
+    }
+    table
+}
+
+/// Model-based: random insert / overwrite / `retain` sequences against a
+/// `HashMap<u64, (u64, Vec<u8>)>`, equal contents after every step — across
+/// several doublings, shrinking retains, empty payloads and overwrites that
+/// outgrow the payload they replace.
+#[test]
+fn flat_table_matches_a_hash_map_model() {
+    use std::collections::HashMap;
+    for seed in 0..8u64 {
+        let mut rng = Rng::new(seed * 13 + 5);
+        let mut table = FlatTable::new();
+        let mut model: HashMap<u64, (u64, Vec<u8>)> = HashMap::new();
+        let mut largest = 0;
+        for step in 0..2_500 {
+            if rng.below(400) == 0 {
+                // Keep a random share: nothing, a sliver, most, everything.
+                let modulus = [1, 2, 16, u64::MAX][rng.below(4) as usize];
+                let keep = |key: u64, value: u64| !(key ^ value).is_multiple_of(modulus);
+                table.retain(|key, value, _| keep(key, value));
+                model.retain(|key, (value, _)| keep(*key, *value));
+            } else {
+                // A small key domain, so a good share of the inserts overwrite.
+                let key = rng.below(2_048) << (seed % 2 * 50);
+                let value = rng.next();
+                let payload: Vec<u8> = (0..rng.below(24)).map(|_| rng.next() as u8).collect();
+                let fresh = table.insert(key, value, &payload);
+                assert_eq!(fresh, model.insert(key, (value, payload)).is_none());
+            }
+            largest = largest.max(table.capacity());
+            assert_eq!(table.len(), model.len(), "seed {seed} step {step}");
+            assert_eq!(table.is_empty(), model.is_empty());
+            assert!(table.len() * 4 <= table.capacity() * 3, "at most three quarters full");
+            for (key, (value, payload)) in &model {
+                assert_eq!(
+                    table.get(*key),
+                    Some((*value, &payload[..])),
+                    "seed {seed} step {step} key {key}"
+                );
+            }
+            let mut listed = 0;
+            for (key, value, payload) in table.iter() {
+                assert_eq!(model.get(&key), Some(&(value, payload.to_vec())));
+                listed += 1;
+            }
+            assert_eq!(listed, model.len(), "iter lists every entry once");
+            assert_eq!(table.get(1 << 63), None);
+        }
+        assert!(largest >= 1_024, "seed {seed}: the run must cross several doublings");
+    }
+}
+
+/// The number of fragments a greedy packer makes of `units` under `budget`: a
+/// unit joins the open fragment iff it fits, or the fragment is empty.
+fn greedy_fragments(units: impl Iterator<Item = usize>, budget: usize) -> usize {
+    let (mut fragments, mut open) = (0, 0);
+    for unit in units {
+        if open > 0 && open + unit > budget {
+            fragments += 1;
+            open = 0;
+        }
+        open += unit;
+    }
+    fragments + usize::from(open > 0)
+}
+
+/// A flat table fragments as its three sections chained under one budget:
+/// the entry count, the slot words through the bulk `Vec<u64>` path, the arena
+/// through the bulk `Vec<u8>` path. At every budget the fragments concatenate
+/// to the one-shot encoding, reassemble to an equal table, stay within budget
+/// (headers and words are 8-byte units), and are as many as packing those
+/// units greedily predicts.
+#[test]
+fn flat_table_fragments_are_its_chained_vectors() {
+    for (seed, entries) in [(1u64, 0u64), (2, 1), (3, 90), (4, 1_300)] {
+        let table = random_table(&mut Rng::new(seed), entries);
+        let (words, arena) = (table.capacity() * 3, table.arena_len());
+        assert_eq!(table.encode_to_vec().len(), 24 + 8 * words + arena);
+        for budget in [1usize, 7, 64, 64 << 10] {
+            if budget < 64 && entries > 100 {
+                continue;
+            }
+            let fragments = check(table.clone(), budget, seed);
+            let units = [8, 8]
+                .into_iter()
+                .chain(std::iter::repeat_n(8, words))
+                .chain([8])
+                .chain(std::iter::repeat_n(1, arena));
+            assert_eq!(
+                fragments.len(),
+                greedy_fragments(units, budget),
+                "seed {seed} budget {budget}"
+            );
+            assert!(fragments.iter().all(|fragment| fragment.len() <= budget.max(8)));
+        }
+    }
+    // Inside a bin, its pending section follows in the same fragments.
+    let bin = megaphone::Bin {
+        state: random_table(&mut Rng::new(9), 500),
+        pending: vec![(7u64, vec![1u64, 2]), (9, vec![3])],
+    };
+    for budget in [64usize, 4 << 10, 64 << 10] {
+        check(bin.clone(), budget, 9);
+    }
+}
+
+/// The panic message of `run`, which must panic.
+fn panic_message(run: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let payload = std::panic::catch_unwind(run).expect_err("the hostile input was accepted");
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast::<&str>().map_or_else(|_| String::new(), |s| s.to_string()),
+    }
+}
+
+/// Builds a flat-table image by hand.
+fn table_image(entries: u64, slots: &[u64], arena: &[u8]) -> Vec<u8> {
+    let mut image = Vec::new();
+    entries.encode(&mut image);
+    (slots.len() as u64).encode(&mut image);
+    for word in slots {
+        word.encode(&mut image);
+    }
+    arena.to_vec().encode(&mut image);
+    image
+}
+
+/// Hostile images of a flat table are rejected with a `corrupt …` message
+/// when they are decoded — from one buffer or from fragments — not by an
+/// out-of-bounds index (or an endless probe) in a later `get`; and nothing is
+/// allocated for a count before the bytes it announces are known to be there.
+#[test]
+fn hostile_flat_table_images_are_rejected_when_decoded() {
+    let table = random_table(&mut Rng::new(21), 40);
+    let image = table.encode_to_vec();
+    assert_eq!(FlatTable::decode_from_slice(&image), table);
+
+    // Truncated at every 8-byte boundary (and inside the arena).
+    for cut in (0..image.len()).step_by(8).chain([image.len() - 1]) {
+        let message = panic_message(|| drop(FlatTable::decode_from_slice(&image[..cut])));
+        assert!(message.starts_with("corrupt "), "cut at {cut}: {message:?}");
+    }
+
+    // One occupied slot (key 5, value 6, payload "ab" at offset 1) among eight.
+    let mut slots = vec![0u64; 24];
+    slots[3..6].copy_from_slice(&[5, 6, 1 << 32 | 3]);
+    let good = table_image(1, &slots, b"xab");
+    let adopted = FlatTable::decode_from_slice(&good);
+    assert_eq!(adopted.iter().collect::<Vec<_>>(), [(5, 6, &b"ab"[..])]);
+
+    let reference = |offset: u64, len: u64| offset << 32 | (len + 1);
+    let with_reference = |word: u64| {
+        let mut slots = slots.clone();
+        slots[5] = word;
+        table_image(1, &slots, b"xab")
+    };
+    let full: Vec<u64> = (0..8u64).flat_map(|key| [key, 0, reference(0, 0)]).collect();
+    let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+        ("9 slots", table_image(1, &[0; 27], b""), "27 slot words are not 3 x a power of two"),
+        ("slot words not a multiple of 3", table_image(0, &[0; 8], b""), "8 slot words"),
+        ("length past the arena", with_reference(reference(1, 3)), "outside a 3-byte arena"),
+        ("offset past the arena", with_reference(reference(4, 0)), "outside a 3-byte arena"),
+        ("a huge offset", with_reference(reference(u32::MAX as u64, u32::MAX as u64 - 1)), "outside"),
+        ("a reference without a length", with_reference(7 << 32), "outside"),
+        ("more entries than slots", table_image(9, &slots, b"xab"), "9 entries leave no empty slot among 8"),
+        ("no empty slot", table_image(8, &full, b""), "8 entries leave no empty slot among 8"),
+        ("entries without a table", table_image(1, &[], b""), "1 entries leave no empty slot among 0"),
+        ("a count the slots do not bear out", table_image(2, &slots, b"xab"), "1 occupied slots under a header of 2"),
+        ("a full table under a modest count", table_image(3, &full, b""), "8 occupied slots under a header of 3"),
+    ];
+    for (what, image, expected) in cases {
+        let message = panic_message(|| drop(FlatTable::decode_from_slice(&image)));
+        assert!(
+            message.starts_with("corrupt flat table: ") && message.contains(expected),
+            "{what}: {message:?}"
+        );
+        // The same image arriving as fragments is refused when it is adopted.
+        let message = panic_message(|| {
+            let mut assembler = FlatTable::assembler();
+            for fragment in image.chunks(16) {
+                assembler.absorb(&mut &fragment[..]);
+            }
+            drop(assembler.finish());
+        });
+        assert!(message.starts_with("corrupt flat table: "), "{what}, in fragments: {message:?}");
+    }
+
+    // Counts that announce more than the buffer holds allocate nothing.
+    let mut huge = Vec::new();
+    (1u64 << 20).encode(&mut huge);
+    (3u64 << 40).encode(&mut huge);
+    huge.extend_from_slice(&[0; 64]);
+    let message = panic_message(|| drop(FlatTable::decode_from_slice(&huge)));
+    assert!(message.starts_with("corrupt length: 3298534883328 x 8-byte u64"), "{message:?}");
+
+    // A well-formed image whose keys sit in the wrong slots decodes; lookups
+    // miss or hit, but stay in bounds and end.
+    let mut slots = vec![0u64; 24];
+    for (slot, key) in [(0usize, 11u64), (1, 12), (6, 13), (7, 14)] {
+        slots[slot * 3..slot * 3 + 3].copy_from_slice(&[key, key, reference(0, 3)]);
+    }
+    let misplaced = FlatTable::decode_from_slice(&table_image(4, &slots, b"xab"));
+    for key in 0..64u64 {
+        if let Some((value, payload)) = misplaced.get(key) {
+            assert_eq!((value, payload), (key, &b"xab"[..]));
+        }
+    }
+    assert_eq!(misplaced.iter().count(), 4);
+}
+
+/// A tag byte `Either` never writes is refused, not read as `Right`.
+#[test]
+fn either_rejects_an_unknown_tag() {
+    let mut bytes = Either::<u64, String>::Right("r".to_string()).encode_to_vec();
+    assert_eq!(bytes[0], 1);
+    bytes[0] = 0xff;
+    let message = panic_message(|| drop(Either::<u64, String>::decode_from_slice(&bytes)));
+    assert_eq!(message, "corrupt Either: tag byte 255 is neither 0 (Left) nor 1 (Right)");
+}

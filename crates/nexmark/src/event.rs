@@ -180,7 +180,8 @@ impl Codec for Event {
         match u8::decode(bytes) {
             0 => Event::Person(Person::decode(bytes)),
             1 => Event::Auction(Auction::decode(bytes)),
-            _ => Event::Bid(Bid::decode(bytes)),
+            2 => Event::Bid(Bid::decode(bytes)),
+            tag => panic!("corrupt Event: tag byte {tag} is none of 0 (Person), 1 (Auction), 2 (Bid)"),
         }
     }
 }
@@ -212,6 +213,15 @@ mod tests {
             let bytes = event.encode_to_vec();
             assert_eq!(Event::decode_from_slice(&bytes), event);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "corrupt Event: tag byte 3")]
+    fn event_rejects_a_tag_it_never_writes() {
+        let bid = Bid { auction: 2, bidder: 1, price: 150, date_time: 9 };
+        let mut bytes = Event::Bid(bid).encode_to_vec();
+        bytes[0] = 3;
+        Event::decode_from_slice(&bytes);
     }
 
     #[test]

@@ -78,6 +78,43 @@ pub fn closed_auctions(
     )
 }
 
+/// The final operator Q4 and Q6 share: per-key state of type `S`, folded with
+/// one closed auction at a time, one row out per auction.
+///
+/// The rows are *running* aggregates, so they depend on the order in which a
+/// key's auctions are folded. Auctions that close at the same time reach this
+/// operator from several workers in no particular order; each time's records
+/// are therefore folded in `(key, price)` order, which makes the rows the same
+/// on one worker, on several, and across processes
+/// (`tests/cluster_equivalence.rs`).
+pub fn running_aggregate<S, F>(
+    config: MegaphoneConfig,
+    control: &Stream<Time, ControlInst>,
+    closed: &Stream<Time, (u64, u64)>,
+    name: &str,
+    mut fold: F,
+) -> QueryOutput
+where
+    S: Default + Codec + 'static,
+    F: FnMut(u64, u64, &mut S) -> String + 'static,
+{
+    let rows = stateful_unary::<_, (u64, u64), FxHashMap<u64, S>, String, _, _>(
+        config,
+        control,
+        closed,
+        name,
+        |record| hash_code(&record.0),
+        move |_time, mut records, states, _notificator| {
+            records.sort_unstable();
+            records
+                .into_iter()
+                .map(|(key, price)| fold(key, price, states.entry(key).or_default()))
+                .collect()
+        },
+    );
+    QueryOutput::from_stateful(rows)
+}
+
 /// Builds Q4 with Megaphone operators.
 pub fn q4(
     config: MegaphoneConfig,
@@ -85,16 +122,15 @@ pub fn q4(
     events: &Stream<Time, Event>,
 ) -> QueryOutput {
     let closed = closed_auctions(config, control, events, false);
-    let averages = state_machine::<_, u64, u64, (u64, u64), String, _>(
+    running_aggregate::<(u64, u64), _>(
         config,
         control,
-        &closed.stream.map(|(category, price)| (category, price)),
+        &closed.stream,
         "Q4-Average",
         |category, price, (sum, count)| {
             *sum += price;
             *count += 1;
-            (false, vec![format!("category={} avg_close={}", category, *sum / *count)])
+            format!("category={} avg_close={}", category, *sum / *count)
         },
-    );
-    QueryOutput::from_stateful(averages)
+    )
 }

@@ -8,7 +8,7 @@
 use megaphone::prelude::*;
 use timelite::prelude::*;
 
-use super::q4::closed_auctions;
+use super::q4::{closed_auctions, running_aggregate};
 use super::{QueryOutput, Time};
 use crate::event::Event;
 
@@ -19,10 +19,10 @@ pub fn q6(
     events: &Stream<Time, Event>,
 ) -> QueryOutput {
     let closed = closed_auctions(config, control, events, true);
-    let averages = state_machine::<_, u64, u64, Vec<u64>, String, _>(
+    running_aggregate::<Vec<u64>, _>(
         config,
         control,
-        &closed.stream.map(|(seller, price)| (seller, price)),
+        &closed.stream,
         "Q6-Average",
         |seller, price, last_ten| {
             last_ten.push(price);
@@ -30,8 +30,7 @@ pub fn q6(
                 last_ten.remove(0);
             }
             let avg = last_ten.iter().sum::<u64>() / last_ten.len() as u64;
-            (false, vec![format!("seller={} avg_last10={}", seller, avg)])
+            format!("seller={} avg_last10={}", seller, avg)
         },
-    );
-    QueryOutput::from_stateful(averages)
+    )
 }

@@ -12,6 +12,7 @@
 //! auction windows, covering events the replay delivers after the processing
 //! clock has passed their window.
 
+use megaphone::codec::{ChainAssembler, ChainFragmenter};
 use megaphone::prelude::*;
 use timelite::hashing::{hash_code, FxHashMap};
 use timelite::prelude::*;
@@ -19,40 +20,80 @@ use timelite::prelude::*;
 use super::{split, QueryOutput, Time, Q8_LATENESS_MS, Q8_WINDOW_MS};
 use crate::event::{Auction, Event, Person};
 
-/// Per-bin state, keyed by person (seller) id: `(registration window, name)` if
-/// the person has registered, and the windows of auctions seen before the
-/// registration arrived.
-pub type Q8State = FxHashMap<u64, (Option<(u64, String)>, Vec<u64>)>;
+/// The windows of the auctions a seller opened before registering.
+type Waiting = FxHashMap<u64, Vec<u64>>;
 
-/// Sentinel `date_time` marking an expiry reminder rather than a real event.
-/// When it comes due, all state for the seller whose tumbling window has passed
-/// is dropped — a registration or pending auction window can only ever match
-/// within its own window, so it is dead weight afterwards.
+/// Per-bin state. A seller is in at most one of the two parts: a registration
+/// consumes the seller's waiting windows, and an auction of a registered
+/// seller joins (or not) without waiting.
+///
+/// The registrations — nearly all of the state — live in a [`FlatTable`], so a
+/// bin extracts and installs as two bulk copies, not one `String` and one map
+/// insert per seller; the waiting lists are the rare case and stay a small map.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Q8State {
+    /// Seller id → (registration window, name bytes).
+    registered: FlatTable,
+    waiting: Waiting,
+}
+
+impl Q8State {
+    /// Number of registered sellers.
+    pub fn registrations(&self) -> usize {
+        self.registered.len()
+    }
+
+    /// Number of auction windows waiting for their seller's registration.
+    pub fn waiting_windows(&self) -> usize {
+        self.waiting.values().map(Vec::len).sum()
+    }
+}
+
+impl Codec for Q8State {
+    fn encode(&self, bytes: &mut Vec<u8>) {
+        self.registered.encode(bytes);
+        self.waiting.encode(bytes);
+    }
+    fn decode(bytes: &mut &[u8]) -> Self {
+        Q8State { registered: FlatTable::decode(bytes), waiting: Waiting::decode(bytes) }
+    }
+}
+
+impl ChunkedCodec for Q8State {
+    type Fragmenter = ChainFragmenter<
+        <FlatTable as ChunkedCodec>::Fragmenter,
+        <Waiting as ChunkedCodec>::Fragmenter,
+    >;
+    type Assembler = ChainAssembler<
+        <FlatTable as ChunkedCodec>::Assembler,
+        <Waiting as ChunkedCodec>::Assembler,
+        Q8State,
+    >;
+    fn into_fragmenter(self) -> Self::Fragmenter {
+        ChainFragmenter::new(self.registered.into_fragmenter(), self.waiting.into_fragmenter())
+    }
+    fn assembler() -> Self::Assembler {
+        ChainAssembler::new(FlatTable::assembler(), Waiting::assembler(), |registered, waiting| {
+            Q8State { registered, waiting }
+        })
+    }
+}
+
+/// Sentinel `date_time` marking an expiry sweep rather than a real event.
 const Q8_EXPIRY: u64 = u64::MAX;
 
-/// The expiry reminder of a registration: only the id, which is all
-/// [`expire_seller`] reads — every pending reminder migrates with its bin, so a
-/// copy of the registration (three strings) would be most of the migrated bytes.
-fn person_reminder(id: u64) -> Person {
+/// The expiry sweep of a bin: it names no seller and no window — when it
+/// comes due, everything in the bin whose tumbling window (plus allowed
+/// lateness) has passed by then is dropped. A registration or waiting auction
+/// window can only ever match within its own window, so it is dead weight
+/// afterwards. Pending sweeps migrate with their bin, one per window.
+fn sweep_reminder() -> Person {
     Person {
-        id,
+        id: 0,
         name: String::new(),
         city: String::new(),
         state: String::new(),
         date_time: Q8_EXPIRY,
-    }
-}
-
-/// The expiry reminder of a seller's pending auction windows: only the seller.
-fn auction_reminder(seller: u64) -> Auction {
-    Auction {
-        id: 0,
-        seller,
-        category: 0,
-        initial_bid: 0,
-        reserve: 0,
-        date_time: Q8_EXPIRY,
-        expires: 0,
     }
 }
 
@@ -63,25 +104,24 @@ fn expiry_time(window: u64) -> u64 {
     (window + 1) * Q8_WINDOW_MS + Q8_LATENESS_MS
 }
 
-/// Drops the parts of `seller`'s state whose tumbling window (plus allowed
-/// lateness) has passed by `time`, and the whole entry once nothing current
-/// remains.
-fn expire_seller(state: &mut Q8State, seller: u64, time: u64) {
-    let Some(entry) = state.get_mut(&seller) else { return };
-    if let Some((window, _)) = &entry.0 {
-        if expiry_time(*window) <= time {
-            entry.0 = None;
-        }
-    }
-    entry.1.retain(|window| expiry_time(*window) > time);
-    if entry.0.is_none() && entry.1.is_empty() {
-        state.remove(&seller);
+/// Makes sure the bin is swept once state of `window` may be dropped: the first
+/// registration or waiting auction of a window in a bin schedules the sweep,
+/// the others find it scheduled. A window that is already stale is swept at
+/// the current time, in the next round.
+fn schedule_sweep(
+    window: u64,
+    time: &Time,
+    notificator: &mut Notificator<Time, Either<Person, Auction>>,
+) {
+    let at = expiry_time(window).max(*time);
+    if !notificator.is_scheduled(&at) {
+        notificator.notify_at(at, Either::Left(sweep_reminder()));
     }
 }
 
 /// The Q8 fold: joins registrations against auctions within one tumbling
-/// window, scheduling expiry reminders so neither registrations nor pending
-/// auction windows outlive their window.
+/// window, and sweeps the bin once per window so neither registrations nor
+/// waiting auction windows outlive theirs.
 ///
 /// Exposed so regression tests can run the fold through the operator stack
 /// while observing the per-bin state.
@@ -93,49 +133,54 @@ pub fn join_fold(
     notificator: &mut Notificator<Time, Either<Person, Auction>>,
 ) -> Vec<String> {
     let mut outputs = Vec::new();
+    // Due sweeps come ahead of the time's registrations. The registrations
+    // are swept there; the waiting windows after the time's registrations
+    // (which may still claim them) and ahead of its auctions.
+    let mut swept = false;
     for person in persons {
         if person.date_time == Q8_EXPIRY {
-            expire_seller(state, person.id, *time);
+            if !swept {
+                state.registered.retain(|_, window, _| expiry_time(window) > *time);
+            }
+            swept = true;
             continue;
         }
         // The join window is anchored on the *person's* timestamp: this
         // registration window is what auctions (early or late) match against.
         let window = person.date_time / Q8_WINDOW_MS;
-        let entry = state.entry(person.id).or_default();
-        entry.0 = Some((window, person.name.clone()));
-        for auction_window in entry.1.drain(..) {
-            if auction_window == window {
-                outputs.push(format!("new_seller={} window={}", person.name, window));
+        state.registered.insert(person.id, window, person.name.as_bytes());
+        if let Some(auction_windows) = state.waiting.remove(&person.id) {
+            for auction_window in auction_windows {
+                if auction_window == window {
+                    outputs.push(format!("new_seller={} window={}", person.name, window));
+                }
             }
         }
-        // Expire the registration once its window — plus the allowed lateness
-        // for out-of-order auctions still referencing it — has passed. A
-        // window that is already stale notifies at the current time and is
-        // dropped in the next round.
-        notificator.notify_at(expiry_time(window), Either::Left(person_reminder(person.id)));
+        // The registration goes once its window — plus the allowed lateness
+        // for out-of-order auctions still referencing it — has passed.
+        schedule_sweep(window, time, notificator);
+    }
+    if swept {
+        state.waiting.retain(|_, windows| {
+            windows.retain(|window| expiry_time(*window) > *time);
+            !windows.is_empty()
+        });
     }
     for auction in auctions {
-        if auction.date_time == Q8_EXPIRY {
-            expire_seller(state, auction.seller, *time);
-            continue;
-        }
         let window = auction.date_time / Q8_WINDOW_MS;
-        let entry = state.entry(auction.seller).or_default();
-        match &entry.0 {
+        match state.registered.get(auction.seller) {
             // The auction joins iff its event time falls inside the seller's
             // registration window; the reported window is the registration's.
-            Some((registered, name)) if *registered == window => {
+            Some((registered, name)) if registered == window => {
+                let name = String::from_utf8_lossy(name);
                 outputs.push(format!("new_seller={} window={}", name, registered));
             }
             Some(_) => {}
             None => {
-                // Schedule one expiry per (seller, window) so sellers who
-                // never register do not accumulate state forever.
-                if !entry.1.contains(&window) {
-                    let reminder = auction_reminder(auction.seller);
-                    notificator.notify_at(expiry_time(window), Either::Right(reminder));
-                }
-                entry.1.push(window);
+                // Swept with its window, so sellers who never register do not
+                // accumulate state forever.
+                state.waiting.entry(auction.seller).or_default().push(window);
+                schedule_sweep(window, time, notificator);
             }
         }
     }

@@ -337,12 +337,7 @@ fn q8_state_expires_with_its_window() {
                     |auction| timelite::hashing::hash_code(&auction.seller),
                     move |time, persons, auctions, state, notificator| {
                         let out = q8::join_fold(time, persons, auctions, state, notificator);
-                        let size: usize = state
-                            .values()
-                            .map(|(registration, windows)| {
-                                usize::from(registration.is_some()) + windows.len()
-                            })
-                            .sum();
+                        let size = state.registrations() + state.waiting_windows();
                         let mut sizes = sizes.borrow_mut();
                         sizes.insert(notificator.bin() as u64, size);
                         let total: usize = sizes.values().sum();
@@ -388,6 +383,155 @@ fn q8_state_expires_with_its_window() {
         final_state, 0,
         "registrations and pending windows must expire with their tumbling window"
     );
+}
+
+/// One step of a scripted Q8 run: worker 0 sends, every worker advances.
+#[derive(Clone)]
+enum Q8Step {
+    Register(Person),
+    Open(Auction),
+    /// Re-assigns the bins at the current time.
+    Migrate(Vec<usize>),
+    /// Moves every input to this time and runs until the output has caught up.
+    AdvanceTo(u64),
+}
+
+/// What one worker's probe around [`q8::join_fold`] saw.
+#[derive(Clone, Debug, Default)]
+struct Q8Probe {
+    /// Expiry sweeps delivered to a fold on this worker.
+    sweeps: usize,
+    /// The pending records of the bin after the last fold that got real events.
+    pending_after_events: usize,
+    /// Registrations plus waiting windows per bin, as of the bin's last fold here.
+    entries: HashMap<usize, usize>,
+    rows: Vec<String>,
+}
+
+/// Runs `script` through the real Q8 fold on `workers` workers with
+/// `2^bin_shift` bins (bin 0 starts on worker 0) and drains.
+fn run_q8_script(workers: usize, bin_shift: u32, script: Vec<Q8Step>) -> Vec<Q8Probe> {
+    timelite::execute(timelite::Config::process(workers), move |worker| {
+        let probe_in = Rc::new(RefCell::new(Q8Probe::default()));
+        let probe_out = probe_in.clone();
+        let (mut control, mut persons_in, mut auctions_in, frontier) =
+            worker.dataflow::<u64, _, _>(|scope| {
+                let (control_input, control) = scope.new_input::<ControlInst>();
+                let (person_input, persons) = scope.new_input::<Person>();
+                let (auction_input, auctions) = scope.new_input::<Auction>();
+                let (seen, collected) = (probe_in.clone(), probe_in.clone());
+                let joined = stateful_binary::<_, Person, Auction, q8::Q8State, String, _, _, _>(
+                    MegaphoneConfig::new(bin_shift),
+                    &control,
+                    &persons,
+                    &auctions,
+                    "Q8-Script",
+                    |person| timelite::hashing::hash_code(&person.id),
+                    |auction| timelite::hashing::hash_code(&auction.seller),
+                    move |time, persons, auctions, state, notificator| {
+                        let sweeps = persons.iter().filter(|p| p.date_time == u64::MAX).count();
+                        let events = persons.len() - sweeps + auctions.len();
+                        let out = q8::join_fold(time, persons, auctions, state, notificator);
+                        let mut seen = seen.borrow_mut();
+                        seen.sweeps += sweeps;
+                        if events > 0 {
+                            seen.pending_after_events = notificator.pending_len();
+                        }
+                        let entries = state.registrations() + state.waiting_windows();
+                        seen.entries.insert(notificator.bin(), entries);
+                        out
+                    },
+                );
+                joined.stream.inspect(move |_t, row| collected.borrow_mut().rows.push(row.clone()));
+                (control_input, person_input, auction_input, joined.probe)
+            });
+        for step in &script {
+            match step {
+                Q8Step::Register(person) if worker.index() == 0 => persons_in.send(person.clone()),
+                Q8Step::Open(auction) if worker.index() == 0 => auctions_in.send(auction.clone()),
+                Q8Step::Migrate(map) if worker.index() == 0 => {
+                    control.send(ControlInst::Map(map.clone()))
+                }
+                Q8Step::AdvanceTo(at) => {
+                    persons_in.advance_to(*at);
+                    auctions_in.advance_to(*at);
+                    control.advance_to(*at);
+                    worker.step_while(|| frontier.less_than(at));
+                }
+                _ => {}
+            }
+        }
+        drop(control);
+        drop(persons_in);
+        drop(auctions_in);
+        worker.step_until_complete();
+        let probe = probe_out.borrow().clone();
+        probe
+    })
+}
+
+/// Expiry is one sweep per `(bin, window)`, not one reminder per seller: forty
+/// sellers registering in one window of one bin leave a single record pending,
+/// and its delivery empties the bin.
+#[test]
+fn q8_expiry_is_one_reminder_per_bin_and_window() {
+    let mut script: Vec<Q8Step> =
+        (0..40).map(|id| Q8Step::Register(person(id, "seller", 10 + id))).collect();
+    // A seller who only ever auctions waits in the same window's sweep.
+    script.push(Q8Step::Open(auction(99, 50)));
+    let probes = run_q8_script(1, 0, script);
+    assert_eq!(probes[0].pending_after_events, 1, "one sweep for the window, not one per seller");
+    assert_eq!(probes[0].sweeps, 1);
+    assert_eq!(probes[0].entries[&0], 0, "the one sweep must drop every seller of the bin");
+    assert!(probes[0].rows.is_empty());
+}
+
+/// A seller who registers again in a later window is kept by the earlier
+/// window's sweep (which finds the newer registration), still joins there,
+/// and goes with the later window's.
+#[test]
+fn q8_reregistration_survives_the_earlier_windows_sweep() {
+    let first_sweep = Q8_WINDOW_MS + Q8_LATENESS_MS;
+    let probes = run_q8_script(
+        1,
+        0,
+        vec![
+            Q8Step::Register(person(7, "first", 10)),
+            Q8Step::Register(person(8, "gone", 20)),
+            Q8Step::AdvanceTo(Q8_WINDOW_MS + 5),
+            Q8Step::Register(person(7, "again", Q8_WINDOW_MS + 5)),
+            // Past window 0's sweep: seller 8 is gone, seller 7 is not.
+            Q8Step::AdvanceTo(first_sweep + 1),
+            Q8Step::Open(auction(7, Q8_WINDOW_MS + 100)),
+            Q8Step::Open(auction(8, Q8_WINDOW_MS + 100)),
+            Q8Step::Open(auction(7, 30)),
+        ],
+    );
+    assert_eq!(probes[0].rows, ["new_seller=again window=1"]);
+    assert_eq!(probes[0].sweeps, 2, "one sweep per window");
+    assert_eq!(probes[0].entries[&0], 0);
+}
+
+/// A migration that lands between a registration and its sweep carries both:
+/// the registrations join on the new owner, and the sweep fires exactly once,
+/// there.
+#[test]
+fn q8_sweep_fires_once_on_the_new_owner_after_a_migration() {
+    let mut script: Vec<Q8Step> =
+        (0..5).map(|id| Q8Step::Register(person(id, "mover", 10))).collect();
+    script.extend([
+        Q8Step::AdvanceTo(1_000),
+        Q8Step::Migrate(vec![1]),
+        Q8Step::AdvanceTo(2_000),
+        Q8Step::Open(auction(3, 1_500)),
+        Q8Step::AdvanceTo(3_000),
+    ]);
+    let probes = run_q8_script(2, 0, script);
+    assert_eq!(probes[1].rows, ["new_seller=mover window=0"], "joined on the new owner");
+    assert!(probes[0].rows.is_empty());
+    assert_eq!((probes[0].sweeps, probes[1].sweeps), (0, 1), "once, on the new owner");
+    assert_eq!(probes[0].entries[&0], 5, "the old owner last saw the five registrations");
+    assert_eq!(probes[1].entries[&0], 0, "the sweep emptied the migrated bin");
 }
 
 /// Runs Q8 over the events of one hand-built scenario, each `(event, at)`

@@ -367,6 +367,15 @@ impl<T: Codec> Codec for Option<T> {
 /// Vectors shorter than this (the handful of ids or counters inside one map
 /// entry) are encoded and decoded item by item, inline and into an exactly
 /// sized allocation: cheaper than setting up a bulk pass.
+///
+/// Measured, not guessed: with every `Vec` going through the bulk hooks, a bin
+/// of `FxHashMap<u64, (Option<(u64, String)>, Vec<u64>)>` entries — NEXMark
+/// Q8's state at the time, a zero- to two-item vector per entry — encoded 23 %
+/// and decoded 10 % slower than item by item (1.55 and 1.08 GB/s on the
+/// 2-vCPU box); at 64 KiB of `u64`s the bulk pass is 52 against 3 GB/s. The
+/// two measurements bracket the threshold, they do not locate it: nothing
+/// between a few items and a few thousand was measured, and 16 keeps every
+/// per-entry vector on the short side. The bytes are the same either way.
 const BULK_MIN_ITEMS: usize = 16;
 
 impl<T: Codec> Codec for Vec<T> {

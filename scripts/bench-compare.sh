@@ -7,8 +7,10 @@
 # Tracked benchmarks are matched by group prefix (the part before the first
 # '/'); the default set covers the hot paths CI guards:
 # routing_lookup, key_to_bin, bin_encode, exchange_throughput,
-# exchange_throughput_tcp, saturation, skew_reaction,
-# bin_migrate_large_durable, multi_tenant_steady, stateful_overhead.
+# exchange_throughput_tcp, saturation, skew_reaction, bin_migrate_large
+# (the flat-table bin of `q8_shape` beside its `Vec<u64>` twin, and the
+# whole/chunked/stall cases), bin_migrate_large_durable, multi_tenant_steady,
+# stateful_overhead.
 # Override with BENCH_COMPARE_GROUPS (comma-separated). The factor defaults
 # to 2.0.
 set -euo pipefail
@@ -16,7 +18,7 @@ set -euo pipefail
 previous="${1:?usage: bench-compare.sh previous.csv current.csv [max-factor]}"
 current="${2:?usage: bench-compare.sh previous.csv current.csv [max-factor]}"
 factor="${3:-2.0}"
-groups="${BENCH_COMPARE_GROUPS:-routing_lookup,key_to_bin,bin_encode,exchange_throughput,exchange_throughput_tcp,saturation,skew_reaction,bin_migrate_large_durable,multi_tenant_steady,stateful_overhead}"
+groups="${BENCH_COMPARE_GROUPS:-routing_lookup,key_to_bin,bin_encode,exchange_throughput,exchange_throughput_tcp,saturation,skew_reaction,bin_migrate_large,bin_migrate_large_durable,multi_tenant_steady,stateful_overhead}"
 
 # A first run of the gate (or a wiped bench cache) has no previous CSV. That
 # is a missing baseline, not a pass and not a regression: say so explicitly

@@ -137,6 +137,30 @@ fn durable_migration_is_in_the_tracked_set() {
 }
 
 #[test]
+fn flat_bin_migration_is_in_the_tracked_set() {
+    // The layer proof of the flat state layout joined the guarded hot paths:
+    // a Q8 bin (1 300 sellers in a `FlatTable`) extracts and installs in about
+    // the time of a `Vec<u64>` bin of equal bytes. A return of per-entry work
+    // on either side (the map layout took 176 µs for these sellers) must fail
+    // the gate while the vector twin beside it stays put.
+    let dir = temp_dir("flat");
+    let previous = write_csv(
+        &dir,
+        "prev.csv",
+        &[("bin_migrate_large/q8_shape/flat", 6_300.0), ("bin_migrate_large/q8_shape/vec", 4_400.0)],
+    );
+    let current = write_csv(
+        &dir,
+        "curr.csv",
+        &[("bin_migrate_large/q8_shape/flat", 176_000.0), ("bin_migrate_large/q8_shape/vec", 4_500.0)],
+    );
+    let (ok, text) = run_compare(&previous, &current);
+    assert!(!ok, "a 28x flat-bin regression must fail the gate, got:\n{text}");
+    assert!(text.contains("REGRESSION bin_migrate_large/q8_shape/flat"), "output:\n{text}");
+    assert!(text.contains("ok bin_migrate_large/q8_shape/vec"), "output:\n{text}");
+}
+
+#[test]
 fn saturation_is_in_the_tracked_set() {
     // The open-loop saturation bench joined the guarded hot paths: its mean
     // iteration time is pinned at the schedule's epoch length while the data

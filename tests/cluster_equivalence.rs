@@ -114,3 +114,23 @@ fn q5_cluster_equivalence() {
 fn q8_cluster_equivalence() {
     assert_equivalence("q8_cluster_equivalence", "q8");
 }
+
+#[test]
+fn q3_cluster_equivalence() {
+    assert_equivalence("q3_cluster_equivalence", "q3");
+}
+
+#[test]
+fn q4_cluster_equivalence() {
+    assert_equivalence("q4_cluster_equivalence", "q4");
+}
+
+#[test]
+fn q6_cluster_equivalence() {
+    assert_equivalence("q6_cluster_equivalence", "q6");
+}
+
+#[test]
+fn q7_cluster_equivalence() {
+    assert_equivalence("q7_cluster_equivalence", "q7");
+}

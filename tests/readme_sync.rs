@@ -325,6 +325,44 @@ fn readme_documents_the_data_plane() {
 }
 
 #[test]
+fn readme_documents_map_shaped_bins() {
+    // The flat state layout: the paragraph, the per-migration timeline it is
+    // justified by, and the pieces both name.
+    let readme = read("README.md");
+    for needle in [
+        "Map-shaped bins",
+        "megaphone::flat::FlatTable",
+        "`ChainFragmenter` / `ChainAssembler`",
+        "corrupt flat table",
+        "bin_migrate_large/q8_shape",
+        "what an all-at-once Q8 migration is made of",
+        "| F pump CPU |",
+        "| first install |",
+        "| S install CPU |",
+        "| last install |",
+        "one expiry sweep per (bin, window)",
+    ] {
+        assert!(readme.contains(needle), "README's flat-state notes lost `{needle}`");
+    }
+    let flat = read("crates/megaphone/src/flat.rs");
+    for item in ["pub struct FlatTable", "pub fn from_image", "pub fn retain", "corrupt flat table"] {
+        assert!(flat.contains(item), "`{item}` vanished from flat.rs — update README");
+    }
+    let codec = read("crates/megaphone/src/codec.rs");
+    for item in ["pub struct ChainFragmenter", "pub struct ChainAssembler"] {
+        assert!(codec.contains(item), "`{item}` vanished from codec.rs — update README");
+    }
+    let q8 = read("crates/nexmark/src/queries/q8.rs");
+    for item in ["registered: FlatTable", "fn schedule_sweep"] {
+        assert!(q8.contains(item), "`{item}` vanished from q8.rs — update README");
+    }
+    let bench = read("crates/bench/benches/bin_migrate_large.rs");
+    assert!(bench.contains("\"bin_migrate_large/q8_shape\""), "the q8_shape bench group is gone");
+    let compare = read("scripts/bench-compare.sh");
+    assert!(compare.contains(",bin_migrate_large,"), "q8_shape left bench-compare.sh's tracked set");
+}
+
+#[test]
 fn readme_documents_the_in_process_record_path() {
     // The F→S copy inventory must name the functions that implement it, and
     // the per-batch grouping it replaced must not have come back.
