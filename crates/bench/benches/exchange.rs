@@ -15,6 +15,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mp_harness::free_addresses;
+use timelite::codec::{Codec, Slab};
 use timelite::communication::{
     allocate, cluster_allocate, send_to, shared_changes, shared_queue, ClusterSpec, Envelope,
     Pact, Payload, Pusher,
@@ -79,6 +80,12 @@ const MARKER_CHANNEL: usize = usize::MAX - 1;
 const ACK_CHANNEL: usize = usize::MAX - 2;
 const STOP_CHANNEL: usize = usize::MAX - 3;
 
+/// A control envelope's dummy payload, encoded as everything bound for a
+/// socket is.
+fn marker() -> Payload {
+    Payload::ProgressBytes(Slab::new(0u64.encode_to_vec()))
+}
+
 fn bench_exchange_tcp(c: &mut Criterion) {
     let mut group = c.benchmark_group("exchange_throughput_tcp");
     group.bench_function("batched_64", |b| {
@@ -106,7 +113,7 @@ fn bench_exchange_tcp(c: &mut Criterion) {
                                 dataflow: 0,
                                 channel: ACK_CHANNEL,
                                 from: 1,
-                                payload: Payload::Progress(Box::new(0u64)),
+                                payload: marker(),
                             },
                         );
                     }
@@ -153,7 +160,7 @@ fn bench_exchange_tcp(c: &mut Criterion) {
                     dataflow: 0,
                     channel: MARKER_CHANNEL,
                     from: 0,
-                    payload: Payload::Progress(Box::new(0u64)),
+                    payload: marker(),
                 },
             );
             // Await the echo side's acknowledgement: the round-trip bounds the
@@ -178,7 +185,7 @@ fn bench_exchange_tcp(c: &mut Criterion) {
                 dataflow: 0,
                 channel: STOP_CHANNEL,
                 from: 0,
-                payload: Payload::Progress(Box::new(0u64)),
+                payload: marker(),
             },
         );
         // Drop every sender handle, then flush: the writer drains the queued

@@ -10,14 +10,24 @@
 //! `stateful_unary_timers` is the same count over bins that each hold ~2 k
 //! far-future reminders: a fold with nothing due must not pay for what is
 //! pending, so it tracks `stateful_unary` (plus the one-off scheduling).
+//! `two_worker_fold_overlap` is one epoch's round trip on two workers that each
+//! owe it a fixed 100 µs fold and *sleep* when `step()` finds nothing, as the
+//! `benchmark/` driver does: about one fold and two wake-ups when the folds
+//! overlap, about two folds when a worker's "consumed" acknowledgement waits
+//! out its own fold before the peer may start (a yield-spinning loop hides the
+//! difference, which is why `multi_tenant_steady` and `saturation` never saw it).
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use megaphone::prelude::*;
 use megaphone::Bin;
-use timelite::communication::Pact;
-use timelite::dataflow::{ProbeHandle, Stream};
+use timelite::communication::{allocate, Pact};
+use timelite::dataflow::{Capability, InputHandle, ProbeHandle, Stream};
 use timelite::hashing::{hash_code, FxHashMap};
-use timelite::Config;
+use timelite::{Config, Worker};
 
 fn bench_key_to_bin(c: &mut Criterion) {
     let mut group = c.benchmark_group("key_to_bin");
@@ -184,6 +194,91 @@ fn plain_hash_count(
     .probe()
 }
 
+/// Busy work one worker owes one epoch, and what an idle driver loop sleeps
+/// (`benchmark/`'s `IDLE_SLEEP_NANOS`).
+const FOLD: Duration = Duration::from_micros(100);
+const IDLE_SLEEP: Duration = Duration::from_micros(50);
+
+/// Input → exchange-fed operator that holds each time's capability from the
+/// first record it receives and "folds" (spins for `FOLD`) once its input
+/// frontier has passed the time → probe.
+fn fold_dataflow(worker: &mut Worker) -> (InputHandle<u64, u64>, ProbeHandle<u64>) {
+    worker.dataflow::<u64, _, _>(|scope| {
+        let (input, stream) = scope.new_input::<u64>();
+        let probe = stream
+            .unary_frontier(Pact::exchange(|key: &u64| *key), "Fold", |_capability| {
+                let mut stash: Vec<Capability<u64>> = Vec::new();
+                move |input, output, frontier| {
+                    input.for_each(|cap, _records| {
+                        if stash.iter().all(|held| held.time() != cap.time()) {
+                            stash.push(cap);
+                        }
+                    });
+                    stash.retain(|cap| {
+                        let open = frontier.less_equal(cap.time());
+                        if !open {
+                            let start = Instant::now();
+                            while start.elapsed() < FOLD {
+                                std::hint::spin_loop();
+                            }
+                            output.session(cap).give(*cap.time());
+                        }
+                        open
+                    });
+                }
+            })
+            .probe();
+        (input, probe)
+    })
+}
+
+/// One epoch on one worker: a record for each worker, then step — sleeping
+/// when there is nothing to do — until the probe passes or `stop` is raised.
+fn fold_epoch(
+    worker: &mut Worker,
+    input: &mut InputHandle<u64, u64>,
+    probe: &ProbeHandle<u64>,
+    stop: &AtomicBool,
+) {
+    let epoch = *input.time();
+    input.send(0);
+    input.send(1);
+    input.advance_to(epoch + 1);
+    while probe.less_than(&(epoch + 1)) && !stop.load(Ordering::SeqCst) {
+        if !worker.step() {
+            std::thread::sleep(IDLE_SLEEP);
+        }
+    }
+}
+
+/// Epoch round trip on two workers, one of them the measuring thread. An
+/// epoch cannot close before both inputs have left it, so the free-running
+/// peer stays in lockstep with the measured iterations.
+fn bench_fold_overlap(b: &mut criterion::Bencher) {
+    let mut allocs = allocate(2);
+    let stop = Arc::new(AtomicBool::new(false));
+    let peer = std::thread::spawn({
+        let alloc = allocs.pop().expect("two allocators");
+        let stop = Arc::clone(&stop);
+        move || {
+            let mut worker = Worker::new(alloc);
+            let (mut input, probe) = fold_dataflow(&mut worker);
+            while !stop.load(Ordering::SeqCst) {
+                fold_epoch(&mut worker, &mut input, &probe, &stop);
+            }
+            drop(input);
+            worker.step_until_complete();
+        }
+    });
+    let mut worker = Worker::new(allocs.pop().expect("two allocators"));
+    let (mut input, probe) = fold_dataflow(&mut worker);
+    b.iter(|| fold_epoch(&mut worker, &mut input, &probe, &stop));
+    stop.store(true, Ordering::SeqCst);
+    drop(input);
+    worker.step_until_complete();
+    peer.join().expect("peer worker panicked");
+}
+
 fn bench_stateful_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("stateful_overhead");
     group.bench_function("stateful_unary", |b| b.iter(|| hash_count_run(stateful_hash_count)));
@@ -191,6 +286,7 @@ fn bench_stateful_overhead(c: &mut Criterion) {
         b.iter(|| hash_count_run(stateful_hash_count_with_timers))
     });
     group.bench_function("exchange_unary", |b| b.iter(|| hash_count_run(plain_hash_count)));
+    group.bench_function("two_worker_fold_overlap", bench_fold_overlap);
     group.finish();
 }
 

@@ -328,6 +328,7 @@ fn every_overridden_primitive_moves_in_bulk_byte_identically() {
 #[test]
 fn golden_bytes_of_a_state_fragment_and_its_wire_frame() {
     use megaphone::StateFragment;
+    use timelite::codec::Slab;
     use timelite::communication::{encode_frame, Envelope, MultiBatch, Payload};
 
     let fragment = StateFragment { bin: 0x0102, bytes: vec![0xAA, 0xBB, 0xCC], last: true };
@@ -342,8 +343,8 @@ fn golden_bytes_of_a_state_fragment_and_its_wire_frame() {
     assert_eq!(StateFragment::decode_from_slice(&fragment_bytes), fragment);
 
     let batches: MultiBatch<u64, (u64, StateFragment)> = vec![(7, vec![(1, fragment)])];
-    let envelope =
-        Envelope { dataflow: 2, channel: 5, from: 0, payload: Payload::Data(Box::new(batches.clone())) };
+    let payload = Payload::DataBytes(Slab::new(batches.encode_to_vec()));
+    let envelope = Envelope { dataflow: 2, channel: 5, from: 0, payload };
     #[rustfmt::skip]
     let frame_bytes = [
         85, 0, 0, 0, 0, 0, 0, 0,        // frame length: 33 header + 52 payload
@@ -440,11 +441,12 @@ impl Codec for PlainByte {
 fn through_a_frame<B: Codec + Clone + PartialEq + std::fmt::Debug + Send + 'static>(
     payload: Vec<B>,
 ) -> usize {
+    use timelite::codec::Slab;
     use timelite::communication::{decode_frame, encode_frame, Envelope, MultiBatch, Payload};
     type Fragment<B> = (u64, Vec<B>, bool);
     let batches: MultiBatch<u64, (u64, Fragment<B>)> = vec![(3, vec![(1, (9, payload, true))])];
-    let envelope =
-        Envelope { dataflow: 0, channel: 1, from: 0, payload: Payload::Data(Box::new(batches.clone())) };
+    let payload = Payload::DataBytes(Slab::new(batches.encode_to_vec()));
+    let envelope = Envelope { dataflow: 0, channel: 1, from: 0, payload };
     let frame = encode_frame(&envelope, 1).to_bytes();
     let (received, to) = decode_frame(&frame[8..]);
     assert_eq!(to, 1);

@@ -8,10 +8,10 @@
 //!
 //! Peers in the same process are reached through an in-memory channel; peers in
 //! another process (cluster mode, [`net`](crate::communication::net)) are
-//! reached through a [`WorkerSender::Remote`] handle that serializes the
-//! envelope into a length-prefixed frame and hands it to the TCP writer thread
-//! of the destination process. Which of the two a given peer is stays invisible
-//! above this seam: pushers and workers only ever call [`send_to`].
+//! reached through a [`WorkerSender::Remote`] handle that puts the envelope's
+//! encoded payload in a length-prefixed frame and hands it to the TCP writer
+//! thread of the destination process. Senders ask [`WorkerSender::is_remote`]
+//! which form of payload to build and otherwise only ever call [`send_to`].
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -72,70 +72,27 @@ impl PeerStatus {
     }
 }
 
-/// A message that can travel both in memory (downcast to its concrete type on
-/// the receiving worker) and over a socket (encoded into the wire format).
-///
-/// Blanket-implemented for every `Codec` message type; pushers and workers box
-/// their payloads through this trait so the sending seam can serialize them
-/// without knowing their types.
-pub trait WireMessage: Send {
-    /// Converts the boxed message into `Box<dyn Any>` for in-process delivery.
-    fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
-    /// Appends the message's wire encoding to `bytes`.
-    fn encode_wire(&self, bytes: &mut Vec<u8>);
-}
-
-impl<M: Any + Send + Codec> WireMessage for M {
-    fn into_any(self: Box<Self>) -> Box<dyn Any + Send> {
-        self
-    }
-    fn encode_wire(&self, bytes: &mut Vec<u8>) {
-        self.encode(bytes);
-    }
-}
-
-/// A [`WireMessage`] shared behind an `Arc`: one allocation fanned out to many
-/// same-process peers (each envelope costs one refcount bump, not a clone of
-/// the message). Blanket-implemented like `WireMessage`, with `Sync` added
-/// because the shared message is read concurrently by its receivers.
-pub trait SharedWireMessage: Send + Sync {
-    /// Converts the shared message into `Arc<dyn Any>` for in-process
-    /// delivery; the receiving dataflow downcasts without cloning the payload.
-    fn into_any_arc(self: std::sync::Arc<Self>) -> std::sync::Arc<dyn Any + Send + Sync>;
-    /// Appends the message's wire encoding to `bytes`.
-    fn encode_wire(&self, bytes: &mut Vec<u8>);
-}
-
-impl<M: Any + Send + Sync + Codec> SharedWireMessage for M {
-    fn into_any_arc(self: std::sync::Arc<Self>) -> std::sync::Arc<dyn Any + Send + Sync> {
-        self
-    }
-    fn encode_wire(&self, bytes: &mut Vec<u8>) {
-        self.encode(bytes);
-    }
-}
-
-/// The payload of an envelope: a typed data message or progress update (local
-/// delivery), or its wire encoding (received from another process and decoded
-/// by the destination channel, which knows the concrete types).
+/// The payload of an envelope: a typed data message or progress update for a
+/// worker of this process (downcast to its concrete type on receipt), or its
+/// wire encoding for a worker of another one (decoded by the destination
+/// channel or dataflow, which knows the concrete types). Senders pick the form
+/// from [`WorkerSender::is_remote`]; the typed forms never reach a socket.
 pub enum Payload {
     /// A boxed coalesced multi-batch `Vec<(T, Vec<D>)>` (a
     /// [`MultiBatch`](crate::communication::MultiBatch)) for a specific
     /// channel: every `(time, batch)` one pusher staged for the receiving
     /// worker between two flushes.
-    Data(Box<dyn WireMessage>),
-    /// A boxed `ProgressUpdates<T>` batch for a dataflow.
-    Progress(Box<dyn WireMessage>),
+    Data(Box<dyn Any + Send>),
     /// A `ProgressUpdates<T>` batch shared by every same-process peer behind
     /// one `Arc`: the local-fanout analogue of the encode-once slab remote
     /// peers receive — one batch allocation, N−1 refcount bumps, zero clones.
-    ProgressShared(std::sync::Arc<dyn SharedWireMessage>),
+    ProgressShared(Arc<dyn Any + Send + Sync>),
     /// The wire encoding of a [`Payload::Data`] multi-batch as a ref-counted
     /// slab slice — received from a remote process (a slice of the reader's
     /// read region) or shared by a multi-target broadcast (one encoding, many
     /// slab handles); the channel's demux closure decodes it.
     DataBytes(Slab),
-    /// The wire encoding of a [`Payload::Progress`] batch as a ref-counted
+    /// The wire encoding of a `ProgressUpdates<T>` batch as a ref-counted
     /// slab slice; the destination dataflow decodes it.
     ProgressBytes(Slab),
 }
@@ -144,7 +101,6 @@ impl std::fmt::Debug for Payload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Payload::Data(_) => write!(f, "Payload::Data(..)"),
-            Payload::Progress(_) => write!(f, "Payload::Progress(..)"),
             Payload::ProgressShared(_) => write!(f, "Payload::ProgressShared(..)"),
             Payload::DataBytes(bytes) => write!(f, "Payload::DataBytes({} bytes)", bytes.len()),
             Payload::ProgressBytes(bytes) => {
@@ -231,34 +187,18 @@ impl WireFrame {
     }
 }
 
-/// Serializes `envelope` (destined for global worker `to`) into one wire
-/// message, following `megaphone::codec`'s byte conventions (little-endian
-/// integers, `u64` length prefixes inside the payload). A typed payload is
-/// encoded here, once; an already-encoded payload ([`Payload::DataBytes`] /
-/// [`Payload::ProgressBytes`]) is *sliced*, not copied — forwarding and
-/// multi-target fan-out cost one slab handle per extra frame.
+/// Frames `envelope` (destined for global worker `to`) as one wire message,
+/// following `megaphone::codec`'s byte conventions (little-endian integers,
+/// `u64` length prefixes inside the payload). The payload is *sliced*, not
+/// copied — forwarding and multi-target fan-out cost one slab handle per
+/// extra frame. It must already be encoded: the pusher and the progress
+/// broadcast encode for remote peers themselves (exactly sized, once for all
+/// targets), so a typed payload here is a sender's bug.
 pub fn encode_frame(envelope: &Envelope, to: usize) -> WireFrame {
     let (kind, payload) = match &envelope.payload {
-        Payload::Data(message) => {
-            let mut bytes = Vec::with_capacity(64);
-            message.encode_wire(&mut bytes);
-            (KIND_DATA, Slab::new(bytes))
-        }
-        Payload::Progress(message) => {
-            let mut bytes = Vec::with_capacity(64);
-            message.encode_wire(&mut bytes);
-            (KIND_PROGRESS, Slab::new(bytes))
-        }
-        // Shared progress is a local-fanout optimization; workers pre-encode
-        // a slab for remote peers instead, so this arm only runs if a shared
-        // batch is deliberately pointed at a remote sender.
-        Payload::ProgressShared(message) => {
-            let mut bytes = Vec::with_capacity(64);
-            message.encode_wire(&mut bytes);
-            (KIND_PROGRESS, Slab::new(bytes))
-        }
         Payload::DataBytes(slab) => (KIND_DATA, slab.clone()),
         Payload::ProgressBytes(slab) => (KIND_PROGRESS, slab.clone()),
+        typed => panic!("{typed:?} pointed at a remote sender: only encoded payloads are framed"),
     };
     WireFrame::new(envelope.dataflow, envelope.channel, envelope.from, to, kind, payload)
 }
@@ -480,7 +420,7 @@ mod tests {
             send_to(
                 &senders,
                 1,
-                Envelope { dataflow: 0, channel: i, from: 0, payload: Payload::Progress(Box::new(i)) },
+                Envelope { dataflow: 0, channel: i, from: 0, payload: Payload::ProgressShared(Arc::new(i)) },
             );
         }
         for i in 0..100usize {
@@ -498,7 +438,7 @@ mod tests {
         send_to(
             &senders,
             1,
-            Envelope { dataflow: 0, channel: 0, from: 0, payload: Payload::Progress(Box::new(0usize)) },
+            Envelope { dataflow: 0, channel: 0, from: 0, payload: Payload::ProgressShared(Arc::new(0usize)) },
         );
     }
 
@@ -516,7 +456,12 @@ mod tests {
         send_to(
             &senders,
             0,
-            Envelope { dataflow: 2, channel: 7, from: 4, payload: Payload::Data(Box::new(batches.clone())) },
+            Envelope {
+                dataflow: 2,
+                channel: 7,
+                from: 4,
+                payload: Payload::DataBytes(Slab::new(batches.encode_to_vec())),
+            },
         );
         let frame = rx.try_recv().expect("frame expected");
         let bytes = frame.to_bytes();
@@ -543,7 +488,7 @@ mod tests {
             dataflow: 0,
             channel: usize::MAX,
             from: 1,
-            payload: Payload::Progress(Box::new(updates.clone())),
+            payload: Payload::ProgressBytes(Slab::new(updates.encode_to_vec())),
         };
         let frame = encode_frame(&envelope, 3).to_bytes();
         assert_eq!(

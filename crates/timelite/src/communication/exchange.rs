@@ -809,7 +809,7 @@ mod tests {
         fn payload_into<M: 'static>(self) -> Box<M> {
             match self.payload {
                 Payload::Data(boxed) => {
-                    boxed.into_any().downcast::<M>().expect("wrong message type")
+                    boxed.downcast::<M>().expect("wrong message type")
                 }
                 other => panic!("expected typed data payload, got {other:?}"),
             }

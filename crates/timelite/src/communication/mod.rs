@@ -6,8 +6,7 @@ pub mod net;
 
 pub use allocator::{
     allocate, decode_frame, decode_frame_parts, encode_frame, send_to, Allocator, Envelope,
-    Payload, PeerStatus, SharedWireMessage, WireFrame, WireMessage, WorkerSender,
-    FRAME_HEADER_BYTES, FRAME_PREFIX_BYTES,
+    Payload, PeerStatus, WireFrame, WorkerSender, FRAME_HEADER_BYTES, FRAME_PREFIX_BYTES,
 };
 pub use net::{
     cluster_allocate, free_addresses, read_len_frame, write_len_frame, ClusterGuard, ClusterSpec,

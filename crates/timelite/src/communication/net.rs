@@ -610,6 +610,7 @@ pub fn cluster_allocate(spec: &ClusterSpec) -> io::Result<(Vec<Allocator>, Clust
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
     use crate::communication::{send_to, Payload};
 
     /// Runs `func(process)` on one thread per process, with the shared address
@@ -770,7 +771,7 @@ mod tests {
                     dataflow: 0,
                     channel: 3,
                     from: alloc.index(),
-                    payload: Payload::Data(Box::new(batches)),
+                    payload: Payload::DataBytes(Slab::new(batches.encode_to_vec())),
                 },
             );
             // Await the peer's envelope.
@@ -781,7 +782,6 @@ mod tests {
                     assert_eq!(envelope.from, other);
                     match envelope.payload {
                         Payload::DataBytes(bytes) => {
-                            use crate::codec::Codec;
                             return Vec::<(u64, Vec<u64>)>::decode_from_slice(&bytes);
                         }
                         other => panic!("expected wire-encoded data, got {other:?}"),
@@ -809,7 +809,7 @@ mod tests {
                         dataflow: 0,
                         channel: i,
                         from: alloc.index(),
-                        payload: Payload::Progress(Box::new(i)),
+                        payload: Payload::ProgressBytes(Slab::new(i.encode_to_vec())),
                     },
                 );
             }

@@ -154,7 +154,6 @@ impl<T: Timestamp> GraphBuilder<T> {
         self.demux.push(Box::new(move |payload: Payload| {
             let batches: MultiBatch<T, D> = match payload {
                 Payload::Data(message) => *message
-                    .into_any()
                     .downcast::<MultiBatch<T, D>>()
                     .expect("channel received a message of an unexpected type"),
                 Payload::DataBytes(bytes) => MultiBatch::<T, D>::decode_from_slice(&bytes),

@@ -11,6 +11,13 @@
 //! on dirty flags, so an idle dataflow costs a handful of flag checks per
 //! step and an idle *worker* parks on its mailbox's eventcount instead of
 //! spin-yielding.
+//!
+//! Progress leaves with the step that made it: a step that harvested progress
+//! changes broadcasts exactly that batch before it returns, after the round's
+//! data envelopes have left and its durable writes are synced. Nothing is
+//! carried from one step to the next, so a worker that stops stepping never
+//! holds anything a peer is waiting for, and a peer never waits out this
+//! worker's next step for an acknowledgement the previous one produced.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -22,16 +29,6 @@ use crate::dataflow::scope::{BuiltDataflow, GraphBuilder, Scope};
 use crate::order::Timestamp;
 use crate::progress::{ProgressUpdates, Tracker};
 use crate::schedule::SharedActivations;
-
-/// Progress broadcasts coalesce until the withheld batch carries this many
-/// individual changes; withholding is always safe (peers see the *older*,
-/// more conservative state) but caps how long chatty operators stay silent.
-const PROGRESS_COALESCE_CHANGES: usize = 256;
-
-/// Progress broadcasts coalesce across at most this many scheduling rounds
-/// before leaving regardless of size, bounding the latency a withheld update
-/// can add to a peer's frontier.
-const PROGRESS_COALESCE_ROUNDS: usize = 4;
 
 /// Consecutive idle `step` calls a driving loop spends yielding before it
 /// parks on the mailbox eventcount (the capped spin prelude: cheap wakeups for
@@ -50,8 +47,6 @@ trait DataflowStep {
     fn accept(&mut self, channel: usize, payload: Payload);
     /// Performs one scheduling round; returns `true` if any progress was made.
     fn step(&mut self) -> bool;
-    /// Broadcasts any progress still withheld by the coalescing budget.
-    fn flush_progress(&mut self);
     /// Returns `true` iff no capabilities or messages remain anywhere in the dataflow.
     fn complete(&self) -> bool;
     /// A read-only progress summary (see [`DataflowSummary`]); never runs or
@@ -97,15 +92,10 @@ struct DataflowCore<T: Timestamp> {
     deferred: Vec<usize>,
     /// Scratch: nodes whose input frontiers the tracker reported changed.
     changed: Vec<usize>,
-    /// Reusable harvest buffer (cleared and refilled each harvest; its
-    /// allocations persist across rounds).
+    /// Harvest buffer, cleared and refilled each harvest. With peers, a
+    /// non-empty harvest leaves in the same step behind the `Arc` its
+    /// broadcast shares; alone, the buffer's allocations persist.
     harvest: ProgressUpdates<T>,
-    /// Harvested-but-not-yet-broadcast progress, coalescing across rounds.
-    /// Always already applied to the local tracker; withholding it from peers
-    /// only keeps them conservative.
-    pending_broadcast: ProgressUpdates<T>,
-    /// Rounds `pending_broadcast` has been withheld.
-    held_rounds: usize,
 }
 
 impl<T: Timestamp> DataflowCore<T> {
@@ -134,8 +124,6 @@ impl<T: Timestamp> DataflowCore<T> {
             deferred: Vec::new(),
             changed: Vec::new(),
             harvest: ProgressUpdates::new(),
-            pending_broadcast: ProgressUpdates::new(),
-            held_rounds: 0,
         }
     }
 
@@ -186,17 +174,11 @@ impl<T: Timestamp> DataflowCore<T> {
         }
     }
 
-    /// Broadcasts the withheld progress batch to every peer: same-process
-    /// peers share one batch behind an `Arc` (one refcount bump each), remote
-    /// peers share one wire encoding behind a slab (PR 7's encode-once path).
-    fn broadcast_pending(&mut self) {
-        if self.pending_broadcast.is_empty() {
-            self.held_rounds = 0;
-            return;
-        }
-        let updates =
-            Arc::new(std::mem::replace(&mut self.pending_broadcast, ProgressUpdates::new()));
-        self.held_rounds = 0;
+    /// Broadcasts the batch just harvested to every peer: same-process peers
+    /// share it behind an `Arc` (one refcount bump each), remote peers share
+    /// one wire encoding behind a slab (PR 7's encode-once path).
+    fn broadcast_harvest(&mut self) {
+        let updates = Arc::new(std::mem::replace(&mut self.harvest, ProgressUpdates::new()));
         let mut encoded: Option<crate::codec::Slab> = None;
         for target in 0..self.built.peers {
             if target == self.built.index {
@@ -227,12 +209,10 @@ impl<T: Timestamp> DataflowCore<T> {
 impl<T: Timestamp> Drop for DataflowCore<T> {
     fn drop(&mut self) {
         // Teardown flush: whatever the last rounds logged becomes durable even
-        // if the worker closure returns without a final step, and any withheld
-        // progress reaches the peers still stepping.
+        // if the worker closure returns without a final step.
         for hook in &mut self.built.sync_hooks {
             hook();
         }
-        self.broadcast_pending();
     }
 }
 
@@ -242,16 +222,8 @@ impl<T: Timestamp> DataflowStep for DataflowCore<T> {
             payload @ (Payload::Data(_) | Payload::DataBytes(_)) => {
                 (self.built.demux[channel])(payload);
             }
-            Payload::Progress(boxed) => {
-                let updates = boxed
-                    .into_any()
-                    .downcast::<ProgressUpdates<T>>()
-                    .expect("progress payload of unexpected timestamp type");
-                self.pending_progress.push_back(Arc::new(*updates));
-            }
             Payload::ProgressShared(shared) => {
                 let updates = shared
-                    .into_any_arc()
                     .downcast::<ProgressUpdates<T>>()
                     .expect("progress payload of unexpected timestamp type");
                 self.pending_progress.push_back(updates);
@@ -265,16 +237,14 @@ impl<T: Timestamp> DataflowStep for DataflowCore<T> {
 
     fn step(&mut self) -> bool {
         // 0. Idle fast path: nothing received, nothing activated, nothing
-        //    staged, nothing harvestable, nothing withheld — the step is a
-        //    few flag checks and the caller may park.
-        let has_pending = !self.pending_progress.is_empty();
+        //    staged, nothing harvestable — the step is a few flag checks and
+        //    the caller may park.
         {
             let activations = self.activations.borrow();
-            if !has_pending
+            if self.pending_progress.is_empty()
                 && activations.is_empty()
                 && !activations.flush_needed()
                 && !activations.progress_dirty()
-                && self.pending_broadcast.is_empty()
             {
                 return false;
             }
@@ -360,47 +330,26 @@ impl<T: Timestamp> DataflowStep for DataflowCore<T> {
 
         // 5. Harvest the progress changes the operators (and user code)
         //    recorded, apply them locally — activating whatever the frontier
-        //    movement makes runnable — and stage them for broadcast.
+        //    movement makes runnable — and broadcast exactly that batch before
+        //    returning (see the module docs). This must stay behind steps 3
+        //    and 4: the round's data has left and its writes are synced
+        //    before a peer can observe its progress, and one mailbox per
+        //    worker and one socket per process pair keep that order in flight.
         let progress_dirty = self.activations.borrow_mut().take_progress_dirty();
-        let mut harvested = false;
         if progress_dirty || ops_ran {
             self.harvest_progress();
             if !self.harvest.is_empty() {
-                harvested = true;
                 self.tracker.apply(&self.harvest);
                 self.activate_frontier_changes();
                 if self.built.peers > 1 {
-                    self.pending_broadcast.internals.append(&mut self.harvest.internals);
-                    self.pending_broadcast.messages.append(&mut self.harvest.messages);
+                    self.broadcast_harvest();
                 }
             }
         }
 
-        // 6. Broadcast the withheld batch once it is large enough, old
-        //    enough, this worker's dataflow just completed (peers need the
-        //    final updates to observe completion), or the step is otherwise
-        //    going quiet (so a worker never parks on withheld progress).
-        if !self.pending_broadcast.is_empty() {
-            self.held_rounds += 1;
-            let quiet = !has_pending && !ops_ran && !harvested;
-            let changes =
-                self.pending_broadcast.internals.len() + self.pending_broadcast.messages.len();
-            if quiet
-                || changes >= PROGRESS_COALESCE_CHANGES
-                || self.held_rounds >= PROGRESS_COALESCE_ROUNDS
-                || self.tracker.is_complete()
-            {
-                self.broadcast_pending();
-            }
-        }
-
         // Reaching here means the idle fast path did not trigger: the step
-        // received, ran, flushed, harvested or broadcast something.
+        // received, ran, flushed or harvested something.
         true
-    }
-
-    fn flush_progress(&mut self) {
-        self.broadcast_pending();
     }
 
     fn complete(&self) -> bool {
@@ -523,20 +472,6 @@ impl Worker {
         }
     }
 
-    /// Broadcasts any progress the coalescing budget is still withholding.
-    ///
-    /// A worker that stops stepping while holding a withheld batch would leave
-    /// its peers conservative forever — a peer whose `step_while` condition
-    /// depends on those updates would never see it satisfied. The stepping
-    /// loops call this on exit, so coalescing never outlives the loop that
-    /// accumulated it; callers hand-rolling a loop around [`step`](Self::step)
-    /// that then *stop* stepping should do the same.
-    pub fn flush_progress(&mut self) {
-        for dataflow in &mut self.dataflows {
-            dataflow.flush_progress();
-        }
-    }
-
     /// Steps the worker while `condition` returns `true`; an idle worker
     /// parks on its mailbox (after a capped spin prelude) instead of
     /// busy-yielding.
@@ -550,10 +485,6 @@ impl Worker {
                 self.idle_wait(idle_streak);
             }
         }
-        // The condition can flip mid-activity (a local probe passing), so this
-        // worker may exit while still withholding coalesced progress its peers
-        // need to reach the same point: flush before handing back control.
-        self.flush_progress();
     }
 
     /// Returns `true` iff every dataflow has completed (no capabilities or
@@ -574,8 +505,8 @@ impl Worker {
     ///
     /// Safe to call from a monitoring hook on a quiet step: it reads tracker
     /// and queue counters only and never activates idle operators, so an idle
-    /// worker sampled every step stays idle (the 116 ns idle step is
-    /// unaffected when nobody calls this).
+    /// worker sampled every step stays idle (the idle step costs the
+    /// same when nobody calls this).
     pub fn progress_summary(&self) -> Vec<DataflowSummary> {
         self.dataflows
             .iter()
@@ -596,7 +527,6 @@ impl Worker {
                 self.idle_wait(idle_streak);
             }
         }
-        self.flush_progress();
     }
 }
 
@@ -650,40 +580,85 @@ mod tests {
         );
     }
 
-    /// Progress broadcasts coalesce: updates harvested across consecutive
-    /// active rounds leave as fewer envelopes than rounds, and a worker never
-    /// goes idle while holding a withheld batch (the trailing quiet step
-    /// flushes it).
+    /// The progress batches among `envelopes` (same-process peers receive
+    /// them shared).
+    fn progress_in(envelopes: &[Envelope]) -> Vec<Arc<ProgressUpdates<u64>>> {
+        envelopes
+            .iter()
+            .filter_map(|envelope| match &envelope.payload {
+                Payload::ProgressShared(shared) => {
+                    Some(Arc::clone(shared).downcast().expect("u64 progress"))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Progress leaves with the step that harvested it: what one `step()`
+    /// recorded — an input's `send` + `advance_to`, the consumption of a data
+    /// envelope it received — is in the peer's mailbox when that step returns,
+    /// with no second step and nothing to flush; and a step that harvested
+    /// nothing sends nothing, so an idle worker stays silent.
     #[test]
-    fn progress_broadcasts_coalesce_across_rounds() {
+    fn progress_leaves_with_the_step_that_harvested_it() {
         let mut allocs = allocate(2);
-        let peer = allocs.pop().expect("two allocators");
+        let mut peer = Worker::new(allocs.pop().expect("two allocators"));
         let mut worker = Worker::new(allocs.pop().expect("two allocators"));
+        // Input → exchange (every record to worker 1) → probe.
+        let build = |worker: &mut Worker| {
+            worker.dataflow::<u64, _, _>(|scope| {
+                let (input, stream) = scope.new_input::<u64>();
+                stream.exchange(|_| 1).probe();
+                input
+            })
+        };
+        let mut input = build(&mut worker);
+        let peer_input = build(&mut peer);
+        // Settle construction: initial capabilities cross, both go idle.
+        while worker.step() | peer.step() {}
 
-        let mut input = worker.dataflow::<u64, _, _>(|scope| {
-            let (input, stream) = scope.new_input::<u64>();
-            stream.probe();
-            input
-        });
-        // Many single-update rounds: each advance_to re-activates the input
-        // node, so each step harvests one small batch.
-        let rounds = 64u64;
-        for epoch in 0..rounds {
-            input.send(epoch);
-            input.advance_to(epoch + 1);
-            worker.step();
-        }
-        drop(input);
-        while worker.step() {}
-
-        let mut envelopes = 0usize;
-        while peer.try_recv().is_some() {
-            envelopes += 1;
-        }
-        assert!(envelopes > 0, "progress must eventually be broadcast");
+        // One step after `send` + `advance_to` on worker 0: the record's
+        // envelope and the progress recording it (one message produced at 0,
+        // the input's capability moved 0 → 1) are both in the peer's mailbox.
+        input.send(7);
+        input.advance_to(1);
+        assert!(worker.step());
+        let sent: Vec<Envelope> = peer.alloc.try_iter().collect();
+        let progress = progress_in(&sent);
+        assert_eq!(progress.len(), 1, "one harvesting step, one progress envelope");
+        assert!(progress[0].messages.iter().any(|&(_, time, diff)| time == 0 && diff == 1));
+        assert!(progress[0].internals.iter().any(|&(_, time, diff)| time == 1 && diff == 1));
         assert!(
-            envelopes < rounds as usize,
-            "{envelopes} progress envelopes for {rounds} rounds: broadcasts did not coalesce"
+            matches!(sent[0].payload, Payload::Data(_)),
+            "the round's data envelope must precede its progress"
         );
+
+        // One step on worker 1 that receives that data envelope: the
+        // acknowledgement ("consumed one message at 0") is in worker 0's
+        // mailbox when the step returns.
+        for envelope in sent {
+            peer.route(envelope);
+        }
+        assert!(peer.step());
+        let acknowledged: Vec<Envelope> = worker.alloc.try_iter().collect();
+        let progress = progress_in(&acknowledged);
+        assert_eq!(progress.len(), 1, "one harvesting step, one progress envelope");
+        assert!(progress[0].messages.iter().any(|&(_, time, diff)| time == 0 && diff == -1));
+        for envelope in acknowledged {
+            worker.route(envelope);
+        }
+
+        // A step that harvests nothing sends nothing.
+        while worker.step() | peer.step() {}
+        for _ in 0..10 {
+            assert!(!worker.step() && !peer.step(), "settled workers are idle");
+        }
+        assert!(worker.alloc.try_recv().is_none() && peer.alloc.try_recv().is_none());
+
+        drop((input, peer_input));
+        while !(worker.dataflows_complete() && peer.dataflows_complete()) {
+            worker.step();
+            peer.step();
+        }
     }
 }

@@ -212,6 +212,10 @@ fn stateful_overhead_is_in_the_tracked_set() {
     // put, and must fail the gate. So must a return of the fold that scans a
     // bin's pending reminders on every call: `stateful_unary_timers` (2 k
     // resident far-future reminders per bin) ran 13 ms without it, 99 ms with.
+    // `two_worker_fold_overlap` is one epoch's round trip with a 100 µs fold a
+    // worker: 0.30 ms with the folds side by side. Taking turns again costs
+    // one more fold (0.40–0.48 ms, under the 2x gate: that order is pinned
+    // exactly by `timelite/tests/progress.rs`); the gate is for anything worse.
     let dir = temp_dir("overhead");
     let previous = write_csv(
         &dir,
@@ -220,6 +224,7 @@ fn stateful_overhead_is_in_the_tracked_set() {
             ("stateful_overhead/stateful_unary", 9_000_000.0),
             ("stateful_overhead/stateful_unary_timers", 13_000_000.0),
             ("stateful_overhead/exchange_unary", 2_600_000.0),
+            ("stateful_overhead/two_worker_fold_overlap", 300_000.0),
         ],
     );
     let current = write_csv(
@@ -229,6 +234,7 @@ fn stateful_overhead_is_in_the_tracked_set() {
             ("stateful_overhead/stateful_unary", 21_000_000.0),
             ("stateful_overhead/stateful_unary_timers", 99_000_000.0),
             ("stateful_overhead/exchange_unary", 2_700_000.0),
+            ("stateful_overhead/two_worker_fold_overlap", 700_000.0),
         ],
     );
     let (ok, text) = run_compare(&previous, &current);
@@ -236,6 +242,10 @@ fn stateful_overhead_is_in_the_tracked_set() {
     assert!(text.contains("REGRESSION stateful_overhead/stateful_unary:"), "output:\n{text}");
     assert!(
         text.contains("REGRESSION stateful_overhead/stateful_unary_timers:"),
+        "output:\n{text}"
+    );
+    assert!(
+        text.contains("REGRESSION stateful_overhead/two_worker_fold_overlap:"),
         "output:\n{text}"
     );
     assert!(text.contains("ok stateful_overhead/exchange_unary"), "output:\n{text}");

@@ -445,8 +445,8 @@ fn readme_documents_the_in_process_record_path() {
 #[test]
 fn readme_documents_scheduling() {
     // The scheduling section must keep the activation-source inventory, the
-    // progress-coalescing budget and the park/wake ordering argument, and the
-    // mechanisms it names must actually exist in the sources.
+    // rule for when progress is shared and the park/wake ordering argument,
+    // and the mechanisms it names must actually exist in the sources.
     let readme = read("README.md");
     assert!(readme.contains("## Scheduling"), "README must keep the Scheduling section");
     for needle in [
@@ -455,10 +455,11 @@ fn readme_documents_scheduling() {
         "Self-reactivation",
         "wake_on_change",
         "topological-rank order",
-        "PROGRESS_COALESCE_CHANGES",
-        "PROGRESS_COALESCE_ROUNDS",
         "Arc<ProgressUpdates>",
         "local_progress_fanout_shares_one_arc",
+        "progress_leaves_with_the_step_that_harvested_it",
+        "two_worker_fold_overlap",
+        "tests/progress.rs",
         "seeded_park_wake_stress_loses_no_wakeups",
         "multi_tenant_steady",
         "tests/activation.rs",
@@ -472,8 +473,8 @@ fn readme_documents_scheduling() {
     );
     let worker = read("crates/timelite/src/worker.rs");
     assert!(
-        worker.contains("PROGRESS_COALESCE_CHANGES") && worker.contains("PROGRESS_COALESCE_ROUNDS"),
-        "the progress coalescing budget vanished from timelite::worker"
+        worker.contains("fn progress_leaves_with_the_step_that_harvested_it"),
+        "the test README names for the progress-sharing rule vanished from timelite::worker"
     );
     let channel = read("vendor/crossbeam-channel/src/lib.rs");
     assert!(
