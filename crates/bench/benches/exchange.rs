@@ -90,11 +90,13 @@ fn bench_exchange_tcp(c: &mut Criterion) {
     let mut group = c.benchmark_group("exchange_throughput_tcp");
     group.bench_function("batched_64", |b| {
         // Two single-worker "processes" over loopback TCP; worker 1 lives on
-        // the echo thread and acknowledges each round's end marker.
+        // the echo thread and acknowledges each round's end marker. A raw
+        // allocator has no step to end, so both sides write what they staged
+        // themselves (`Allocator::flush`).
         let addresses = free_addresses(2);
         let remote_addresses = addresses.clone();
         let echo = std::thread::spawn(move || {
-            let (allocs, _guard) = cluster_allocate(&ClusterSpec {
+            let (allocs, guard) = cluster_allocate(&ClusterSpec {
                 process: 1,
                 workers_per_process: 1,
                 addresses: remote_addresses,
@@ -104,7 +106,7 @@ fn bench_exchange_tcp(c: &mut Criterion) {
             let mut drained = 0usize;
             loop {
                 match alloc.try_recv() {
-                    Some(envelope) if envelope.channel == STOP_CHANNEL => return drained,
+                    Some(envelope) if envelope.channel == STOP_CHANNEL => break,
                     Some(envelope) if envelope.channel == MARKER_CHANNEL => {
                         send_to(
                             &alloc.senders(),
@@ -116,6 +118,7 @@ fn bench_exchange_tcp(c: &mut Criterion) {
                                 payload: marker(),
                             },
                         );
+                        alloc.flush();
                     }
                     Some(envelope) => {
                         black_box(&envelope);
@@ -124,6 +127,8 @@ fn bench_exchange_tcp(c: &mut Criterion) {
                     None => std::thread::yield_now(),
                 }
             }
+            guard.close();
+            drained
         });
         let (allocs, guard) = cluster_allocate(&ClusterSpec {
             process: 0,
@@ -163,6 +168,7 @@ fn bench_exchange_tcp(c: &mut Criterion) {
                     payload: marker(),
                 },
             );
+            alloc.flush();
             // Await the echo side's acknowledgement: the round-trip bounds the
             // full encode → socket → decode pipeline, not just the local send.
             loop {
@@ -188,11 +194,9 @@ fn bench_exchange_tcp(c: &mut Criterion) {
                 payload: marker(),
             },
         );
-        // Drop every sender handle, then flush: the writer drains the queued
-        // stop marker before exiting, so the echo thread sees it and returns.
-        drop(pusher);
-        drop(allocs);
-        guard.flush();
+        // Closing writes the staged stop marker, so the echo thread sees it
+        // and returns.
+        guard.close();
         black_box(echo.join().expect("echo thread panicked"));
     });
     group.finish();

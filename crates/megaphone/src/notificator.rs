@@ -114,31 +114,25 @@ impl<T: Timestamp + TotalOrder, P> PendingQueue<T, P> {
             .is_some_and(|Reverse(entry)| !frontier.less_equal(&entry.time))
     }
 
-    /// Like [`has_ready`](Self::has_ready) for the two-frontier variant
-    /// [`drain_ready2`](Self::drain_ready2).
+    /// Like [`has_ready`](Self::has_ready), but requires the time to have been
+    /// passed by *both* frontiers (used by `S`, which must wait for both its
+    /// data and its state input).
     pub fn has_ready2(&self, frontier1: &Antichain<T>, frontier2: &Antichain<T>) -> bool {
         self.heap.peek().is_some_and(|Reverse(entry)| {
             !frontier1.less_equal(&entry.time) && !frontier2.less_equal(&entry.time)
         })
     }
 
-    /// Like [`drain_ready`](Self::drain_ready) but requires the time to have
-    /// been passed by *both* frontiers (used by `S`, which must wait for both
-    /// its data and its state input).
-    pub fn drain_ready2(
-        &mut self,
-        frontier1: &Antichain<T>,
-        frontier2: &Antichain<T>,
-    ) -> Vec<(T, Capability<T>, P)> {
-        let mut ready = Vec::new();
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if frontier1.less_equal(&entry.time) || frontier2.less_equal(&entry.time) {
-                break;
-            }
+    /// Removes and returns the entries of `time`, which must be the earliest
+    /// pending time (`S` retires one time per invocation: the earliest that
+    /// both of its frontiers have passed).
+    pub fn drain_time(&mut self, time: &T) -> Vec<(Capability<T>, P)> {
+        let mut entries = Vec::new();
+        while self.next_time() == Some(time) {
             let Reverse(entry) = self.heap.pop().expect("peeked entry must exist");
-            ready.push((entry.time, entry.capability, entry.payload));
+            entries.push((entry.capability, entry.payload));
         }
-        ready
+        entries
     }
 }
 
@@ -230,28 +224,19 @@ impl<T: Timestamp + TotalOrder> WakeupQueue<T> {
         self.times.keys().next()
     }
 
-    /// Returns `true` iff a [`drain_ready2`](Self::drain_ready2) call now would
-    /// return work (see [`PendingQueue::has_ready`] for why `S` asks).
+    /// Returns `true` iff both frontiers have passed the earliest time with a
+    /// wake-up (see [`PendingQueue::has_ready`] for why `S` asks).
     pub fn has_ready2(&self, frontier1: &Antichain<T>, frontier2: &Antichain<T>) -> bool {
         self.next_time()
             .is_some_and(|time| !frontier1.less_equal(time) && !frontier2.less_equal(time))
     }
 
-    /// Removes and returns, in timestamp order, the wake-ups of every time that
-    /// both frontiers have passed: per time, its capability and the bins to wake
-    /// (a bin can appear more than once).
-    pub fn drain_ready2(
-        &mut self,
-        frontier1: &Antichain<T>,
-        frontier2: &Antichain<T>,
-    ) -> Vec<(T, Capability<T>, Vec<BinId>)> {
-        let mut ready = Vec::new();
-        while self.has_ready2(frontier1, frontier2) {
-            let (time, (capability, bins)) = self.times.pop_first().expect("a ready time exists");
-            self.len -= bins.len();
-            ready.push((time, capability, bins));
-        }
-        ready
+    /// Removes and returns the wake-ups of `time`, if it has any: its
+    /// capability and the bins to wake (a bin can appear more than once).
+    pub fn take_time(&mut self, time: &T) -> Option<(Capability<T>, Vec<BinId>)> {
+        let (capability, bins) = self.times.remove(time)?;
+        self.len -= bins.len();
+        Some((capability, bins))
     }
 }
 
@@ -374,16 +359,17 @@ mod tests {
     }
 
     #[test]
-    fn drain_ready2_requires_both_frontiers() {
+    fn readiness_requires_both_frontiers_and_a_time_leaves_whole() {
         let mut queue = PendingQueue::new();
-        queue.push(test_capability(3), ());
-        assert!(queue
-            .drain_ready2(&Antichain::from_elem(10), &Antichain::from_elem(2))
-            .is_empty());
-        assert_eq!(
-            queue.drain_ready2(&Antichain::from_elem(10), &Antichain::from_elem(7)).len(),
-            1
-        );
+        queue.push(test_capability(3), "a");
+        queue.push(test_capability(4), "later");
+        queue.push(test_capability(3), "b");
+        assert!(!queue.has_ready2(&Antichain::from_elem(10), &Antichain::from_elem(2)));
+        assert!(queue.has_ready2(&Antichain::from_elem(10), &Antichain::from_elem(7)));
+        let mut payloads: Vec<_> = queue.drain_time(&3).into_iter().map(|entry| entry.1).collect();
+        payloads.sort_unstable();
+        assert_eq!(payloads, vec!["a", "b"]);
+        assert_eq!(queue.next_time(), Some(&4), "only the named time leaves");
     }
 
     #[test]
@@ -410,9 +396,10 @@ mod tests {
             ]
         );
         assert_eq!(wakeups.len(), 2, "one wake-up per run, not per record");
-        let ready = wakeups.drain_ready2(&Antichain::from_elem(9), &Antichain::new());
-        let fired: Vec<_> = ready.iter().map(|(time, cap, bins)| (*time, *cap.time(), &bins[..])).collect();
-        assert_eq!(fired, vec![(6, 6, &[7][..]), (8, 8, &[7][..])]);
+        for time in [6, 8] {
+            let (held, bins) = wakeups.take_time(&time).expect("a wake-up per run");
+            assert_eq!((held.time(), bins), (&time, vec![7]));
+        }
         assert!(wakeups.is_empty());
     }
 
@@ -431,11 +418,10 @@ mod tests {
         assert_eq!(pending, vec![(5, vec![()])]);
         assert_eq!(wakeups.next_time(), Some(&5));
         let open = Antichain::new();
-        assert!(wakeups.drain_ready2(&Antichain::from_elem(5), &open).is_empty(), "5 still open");
-        let ready = wakeups.drain_ready2(&Antichain::from_elem(6), &open);
-        assert_eq!(ready.len(), 1, "released exactly once");
-        assert_eq!(ready[0].0, 5);
-        assert!(wakeups.is_empty());
+        assert!(!wakeups.has_ready2(&Antichain::from_elem(5), &open), "5 still open");
+        assert!(wakeups.has_ready2(&Antichain::from_elem(6), &open));
+        assert!(wakeups.take_time(&5).is_some());
+        assert!(wakeups.is_empty(), "released exactly once");
     }
 
     #[test]
@@ -445,9 +431,7 @@ mod tests {
         let (ten, two, seven) =
             (Antichain::from_elem(10), Antichain::from_elem(2), Antichain::from_elem(7));
         assert!(!wakeups.has_ready2(&ten, &two));
-        assert!(wakeups.drain_ready2(&ten, &two).is_empty());
         assert!(wakeups.has_ready2(&ten, &seven));
-        assert_eq!(wakeups.drain_ready2(&ten, &seven).len(), 1);
     }
 
     #[test]
@@ -461,11 +445,9 @@ mod tests {
         let cap = test_capability(10);
         wakeups.register_runs(6, &runs, &cap);
         assert_eq!(wakeups.len(), 2);
-        let ready = wakeups.drain_ready2(&Antichain::from_elem(11), &Antichain::new());
-        assert_eq!(ready.len(), 1);
-        assert_eq!((ready[0].0, *ready[0].1.time(), &ready[0].2[..]), (10, 10, &[6][..]));
-        let rest = wakeups.drain_ready2(&Antichain::new(), &Antichain::new());
-        assert_eq!(rest[0].0, 15);
+        let (held, bins) = wakeups.take_time(&10).expect("the closed runs wake at 10");
+        assert_eq!((held.time(), bins), (&10, vec![6]));
+        assert_eq!(wakeups.next_time(), Some(&15));
     }
 
     #[test]
@@ -478,8 +460,8 @@ mod tests {
         assert_eq!(wakeups.len(), 4);
         wakeups.remove_bins(|bin| bin == 1);
         assert_eq!(wakeups.len(), 2);
-        let ready = wakeups.drain_ready2(&Antichain::new(), &Antichain::new());
-        let fired: Vec<_> = ready.iter().map(|(time, _, bins)| (*time, bins.clone())).collect();
-        assert_eq!(fired, vec![(5, vec![2]), (9, vec![3])], "time 7 went with its only bin");
+        assert!(wakeups.take_time(&7).is_none(), "time 7 went with its only bin");
+        assert_eq!(wakeups.take_time(&5).map(|(_, bins)| bins), Some(vec![2]));
+        assert_eq!((wakeups.len(), wakeups.next_time()), (1, Some(&9)), "only time 5 left");
     }
 }

@@ -14,7 +14,9 @@
 //!   data records in timestamp order once their time has been passed by both
 //!   its data and its state input frontier, invoking the user's fold logic
 //!   once per `(time, bin)` with the bin's state and a [`Notificator`] for
-//!   post-dated records.
+//!   post-dated records. One invocation retires one time: when several are
+//!   ready S re-activates itself, so each time's completion is broadcast by
+//!   the step that retired it rather than after the last of them.
 //!
 //! F and S instances on the same worker share the bin store through a shared
 //! pointer, exactly as described in Section 4.2 of the paper.
@@ -428,28 +430,25 @@ where
             // Stash data until its time can no longer receive state or records.
             s_data_in.for_each(|capability, records| data_stash.push(capability, records));
 
-            // Release ready work (data batches and wake-ups) one time at a
-            // time, in timestamp order.
-            let mut ready_data =
-                data_stash.drain_ready2(data_frontier, state_frontier).into_iter().peekable();
-            let mut ready_wakeups =
-                wakeups.drain_ready2(data_frontier, state_frontier).into_iter().peekable();
-            loop {
-                let time = match (ready_data.peek(), ready_wakeups.peek()) {
-                    (Some((data_time, ..)), Some((wakeup_time, ..))) => {
-                        data_time.min(wakeup_time).clone()
-                    }
-                    (Some((time, ..)), None) | (None, Some((time, ..))) => time.clone(),
-                    (None, None) => break,
-                };
-
+            // Retire the earliest ready time (data batches and wake-ups), and
+            // only that one: a time's outputs and its released capability
+            // leave with the step that retired it (see the re-activation
+            // below), so no peer waits out this worker's later times to learn
+            // that an earlier one is complete.
+            let ready = [data_stash.next_time(), wakeups.next_time()]
+                .into_iter()
+                .flatten()
+                .min()
+                .filter(|time| !data_frontier.less_equal(time) && !state_frontier.less_equal(time))
+                .cloned();
+            if let Some(time) = ready {
                 // Merge everything released for `time`: count the records per
                 // bin, and add the bins the time's wake-ups name (a bin woken
                 // twice, or woken with records, is still one unit of work).
                 // Any of the released capabilities serves the whole time.
                 let mut capability = None;
                 let mut arrived = 0;
-                while let Some((_, held, batch)) = ready_data.next_if(|entry| entry.0 == time) {
+                for (held, batch) in data_stash.drain_time(&time) {
                     for (_target, hash, _record) in &batch {
                         let bin = config.key_to_bin(*hash);
                         if counts[bin] == 0 {
@@ -461,7 +460,7 @@ where
                     batches.push(batch);
                     capability.get_or_insert(held);
                 }
-                if let Some((_, held, bins)) = ready_wakeups.next_if(|entry| entry.0 == time) {
+                if let Some((held, bins)) = wakeups.take_time(&time) {
                     touched.extend(bins);
                     capability.get_or_insert(held);
                 }
@@ -513,11 +512,12 @@ where
                 .enforce_eviction()
                 .unwrap_or_else(|error| panic!("cold-bin eviction failed: {error}"));
 
-            // The fold above may have scheduled wake-ups at the very time just
-            // retired (a notificator deadline clamped to the current time):
-            // those are ready *now*, and no further frontier movement — hence
-            // no tracker-driven activation — may ever arrive. Re-activate so
-            // the deadline fires without needing a data nudge.
+            // More times may be ready, and the fold above may have scheduled
+            // wake-ups at the very time just retired (a notificator deadline
+            // clamped to the current time): those are ready *now*, and no
+            // further frontier movement — hence no tracker-driven activation
+            // — may ever arrive. Re-activate: the worker's next step takes the
+            // next time, after this step's progress has been broadcast.
             if wakeups.has_ready2(data_frontier, state_frontier)
                 || data_stash.has_ready2(data_frontier, state_frontier)
             {

@@ -3,7 +3,8 @@
 //! post-dated records come first in that one call, a time's outputs leave S as
 //! one batch, and none of it changes what a per-record reference computes.
 //! Post-dated records cost one wake-up and one call per `(bin, time)` run, and
-//! a fold with nothing due does not touch the runs that are pending.
+//! a fold with nothing due does not touch the runs that are pending. Times
+//! that become ready together are retired one worker step each.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -151,6 +152,51 @@ fn due_records_come_first_in_the_same_call_as_fresh_ones() {
     fresh.sort_unstable();
     assert_eq!(fresh, vec![30, 40], "fresh records of both batches follow in the same call");
     assert_eq!(calls[3], (9, vec![12]));
+}
+
+#[test]
+fn times_ready_together_are_retired_one_step_each() {
+    const TIMES: u64 = 4;
+    let frontiers: Vec<u64> = timelite::execute_single(|worker| {
+        let (mut control, mut input, probe) = worker.dataflow::<u64, _, _>(|scope| {
+            let (control_input, control) = scope.new_input::<ControlInst>();
+            let (data_input, data) = scope.new_input::<u64>();
+            let output = stateful_unary::<_, u64, u64, u64, _, _>(
+                MegaphoneConfig::new(2),
+                &control,
+                &data,
+                "OneTimeAStep",
+                hash_code,
+                |_time, records, _state, _notificator| records,
+            );
+            (control_input, data_input, output.probe)
+        });
+        // Every time's records are in, and every time is closed, before the
+        // worker steps at all: S finds all of them ready in one invocation.
+        for time in 0..TIMES {
+            control.advance_to(time);
+            input.advance_to(time);
+            input.send(time);
+        }
+        control.advance_to(TIMES);
+        input.advance_to(TIMES);
+        // The earliest time the output may still produce, after each step.
+        let mut frontiers = Vec::new();
+        while probe.less_than(&TIMES) {
+            worker.step();
+            let open = (0..=TIMES).find(|time| probe.less_than(&(time + 1))).unwrap_or(TIMES);
+            if frontiers.last() != Some(&open) {
+                frontiers.push(open);
+            }
+        }
+        drop(control);
+        drop(input);
+        worker.step_until_complete();
+        frontiers
+    });
+    // The output frontier visits every time: each time's completion left with
+    // the step that retired it, not with the step that retired the last one.
+    assert_eq!(frontiers, (0..=TIMES).collect::<Vec<_>>());
 }
 
 #[test]

@@ -26,7 +26,6 @@ use megaphone::prelude::*;
 use megaphone::{BinStore, WakeupQueue};
 use timelite::communication::shared_changes;
 use timelite::dataflow::Capability;
-use timelite::progress::Antichain;
 
 const BIN_SHIFT: u32 = 3;
 const BINS: usize = 1 << BIN_SHIFT;
@@ -107,15 +106,15 @@ impl System {
     /// ascending order until no wake-up for `time` is left — a fold that
     /// post-dates to the time being processed is called once more.
     fn step(&mut self, time: u64, mut fresh: Vec<Vec<u64>>) {
-        let closed = Antichain::from_elem(time + 1);
         let capability = (self.mint)(time);
         let mut first_round = true;
         loop {
             let mut any = false;
             for (index, worker) in self.workers.iter_mut().enumerate() {
                 let mut touched: Vec<BinId> = Vec::new();
-                for (woken_at, held, bins) in worker.wakeups.drain_ready2(&closed, &closed) {
-                    assert_eq!(woken_at, time, "a wake-up fired late: its time was skipped");
+                let skipped = worker.wakeups.next_time().is_some_and(|next| *next < time);
+                assert!(!skipped, "a wake-up fired late: its time was skipped");
+                if let Some((held, bins)) = worker.wakeups.take_time(&time) {
                     assert_eq!(held.time(), &time);
                     touched.extend(bins);
                 }

@@ -9,37 +9,41 @@
 //! Peers in the same process are reached through an in-memory channel; peers in
 //! another process (cluster mode, [`net`](crate::communication::net)) are
 //! reached through a [`WorkerSender::Remote`] handle that puts the envelope's
-//! encoded payload in a length-prefixed frame and hands it to the TCP writer
-//! thread of the destination process. Senders ask [`WorkerSender::is_remote`]
+//! encoded payload in a length-prefixed frame and stages it on the [`Mesh`]'s
+//! link to the destination process. Senders ask [`WorkerSender::is_remote`]
 //! which form of payload to build and otherwise only ever call [`send_to`].
+//!
+//! No thread but the workers touches a socket: a worker writes what its step
+//! staged ([`Allocator::flush`]) and reads before it receives
+//! ([`Allocator::try_recv`], [`Allocator::wait`]). With no links — every
+//! in-process fabric — both are an empty loop.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 
+use super::net::Mesh;
 use crate::codec::{Codec, Slab};
 
-/// Shared record of remote-peer health, written by a process's socket reader
-/// and writer threads and read by its workers through
-/// [`Allocator::peer_failure`].
+/// Shared record of remote-peer health, written by whichever worker of a
+/// process observes it while driving a link of the [`Mesh`] and read by all
+/// of them through [`Allocator::peer_failure`].
 ///
 /// A *fatal* report means a peer died in a way that strands this process —
 /// a connection broken mid-frame, or a frame routed to a worker this process
-/// does not host. The reader thread used to abort the whole process on these
-/// (it is the only thread that can observe them, and silently returning would
-/// leave the workers waiting forever on envelopes that never arrive);
-/// recording the failure here instead lets each worker raise an ordinary,
-/// catchable panic from its own step loop. Write errors on the outgoing side
-/// are counted but not fatal: a remote that finished its dataflows closes its
-/// socket while our last frames may still be in flight, and that benign race
-/// must not fail a completed computation.
+/// does not host. Only the worker that happened to read the link sees it, and
+/// its siblings would wait forever on envelopes that never arrive; recording
+/// the failure here lets each of them raise an ordinary, catchable panic from
+/// its own step loop. Write errors on the outgoing side are not fatal: a
+/// remote that finished its dataflows closes its socket while our last frames
+/// may still be in flight, and that benign race must not fail a completed
+/// computation.
 #[derive(Debug, Default)]
 pub struct PeerStatus {
     fatal: AtomicBool,
     reason: Mutex<Option<String>>,
-    write_errors: AtomicUsize,
 }
 
 impl PeerStatus {
@@ -52,11 +56,6 @@ impl PeerStatus {
         self.fatal.store(true, Ordering::Release);
     }
 
-    /// Counts a failed socket write (benign on its own; see the type docs).
-    pub(crate) fn report_write_error(&self) {
-        self.write_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// The first stranding failure reported, if any. The fast path is one
     /// relaxed load.
     pub fn fatal(&self) -> Option<String> {
@@ -64,11 +63,6 @@ impl PeerStatus {
             return None;
         }
         self.reason.lock().expect("peer status poisoned").clone()
-    }
-
-    /// How many outgoing socket writes have failed.
-    pub fn write_errors(&self) -> usize {
-        self.write_errors.load(Ordering::Relaxed)
     }
 }
 
@@ -139,8 +133,8 @@ pub const FRAME_PREFIX_BYTES: usize = 8 + FRAME_HEADER_BYTES;
 /// One outgoing wire message in scatter form: the fixed
 /// `[len u64][dataflow u64][channel u64][from u64][to u64][kind u8]` prefix as
 /// an inline array, and the payload as a ref-counted slab slice. The two parts
-/// are never glued into one contiguous buffer — the socket writer emits them
-/// with a vectored write — so a payload shared by several targets (broadcast,
+/// are never glued into one contiguous buffer — the link emits them with a
+/// vectored write — so a payload shared by several targets (broadcast,
 /// progress) is encoded once and its slab handle cloned per frame.
 #[derive(Clone, Debug)]
 pub struct WireFrame {
@@ -178,7 +172,7 @@ impl WireFrame {
     }
 
     /// Glues prefix and payload into one contiguous buffer (tests and
-    /// inspection only; the writer never materializes this copy).
+    /// inspection only; the link never materializes this copy).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(self.wire_len());
         bytes.extend_from_slice(&self.prefix);
@@ -223,8 +217,8 @@ pub fn decode_frame_parts(header: &[u8; FRAME_HEADER_BYTES], payload: Slab) -> (
 }
 
 /// Deserializes one frame body (everything after the `[len u64]` prefix) back
-/// into `(envelope, to)`. Convenience for tests and inspection; the socket
-/// reader slices payloads out of its read region via [`decode_frame_parts`]
+/// into `(envelope, to)`. Convenience for tests and inspection; a link
+/// slices payloads out of its read region via [`decode_frame_parts`]
 /// instead of copying them out of a contiguous frame.
 pub fn decode_frame(frame: &[u8]) -> (Envelope, usize) {
     let header: [u8; FRAME_HEADER_BYTES] =
@@ -240,14 +234,17 @@ pub enum WorkerSender {
     /// The peer lives in this process: envelopes are moved, never serialized.
     Local(Sender<Envelope>),
     /// The peer lives in another process: envelopes are encoded into
-    /// [`WireFrame`]s (prefix + payload slab, no contiguous copy) and handed
-    /// to the writer thread of the connection to that process.
+    /// [`WireFrame`]s (prefix + payload slab, no contiguous copy) and staged
+    /// on the link to that process until the sending worker's step ends.
     Remote {
         /// The destination worker's global index (baked into each frame so the
         /// receiving process can route to the right local mailbox).
         to: usize,
-        /// Channel into the destination process's socket writer thread.
-        tx: Sender<WireFrame>,
+        /// This process's links, and which of them reaches the destination
+        /// worker's process.
+        mesh: Arc<Mesh>,
+        /// See `mesh`.
+        link: usize,
     },
 }
 
@@ -275,9 +272,10 @@ pub struct Allocator {
     peers: usize,
     senders: Vec<WorkerSender>,
     receiver: Receiver<Envelope>,
-    /// Remote-peer health, shared with this process's socket threads in
-    /// cluster mode; `None` for purely in-process fabrics.
-    peer_status: Option<Arc<PeerStatus>>,
+    /// The links to the other processes (and the remote-peer health record),
+    /// shared by this process's workers in cluster mode; `None` for purely
+    /// in-process fabrics.
+    mesh: Option<Arc<Mesh>>,
 }
 
 impl Allocator {
@@ -290,22 +288,22 @@ impl Allocator {
         senders: Vec<WorkerSender>,
         receiver: Receiver<Envelope>,
     ) -> Self {
-        Allocator { index, peers, senders, receiver, peer_status: None }
+        Allocator { index, peers, senders, receiver, mesh: None }
     }
 
-    /// Attaches the shared remote-peer health record (cluster bootstrap only).
-    pub(crate) fn with_peer_status(mut self, status: Arc<PeerStatus>) -> Self {
-        self.peer_status = Some(status);
+    /// Attaches the process's links (cluster bootstrap only).
+    pub(crate) fn with_mesh(mut self, mesh: Arc<Mesh>) -> Self {
+        self.mesh = Some(mesh);
         self
     }
 
-    /// The first stranding remote-peer failure the socket threads reported, if
-    /// any: a connection broken mid-frame or a misrouted frame. Once this
-    /// returns `Some`, envelopes from that peer will never arrive; the worker
+    /// The first stranding remote-peer failure a worker of this process
+    /// reported, if any: a connection broken mid-frame or a misrouted frame.
+    /// Once this returns `Some`, envelopes from that peer will never arrive; the worker
     /// surfaces it as a panic from its step loop. Costs one `Option` check (and
     /// one relaxed load in cluster mode) — cheap enough for every step.
     pub fn peer_failure(&self) -> Option<String> {
-        self.peer_status.as_ref()?.fatal()
+        self.mesh.as_ref()?.status.fatal()
     }
 
     /// This worker's index.
@@ -323,12 +321,38 @@ impl Allocator {
         self.senders.clone()
     }
 
-    /// Receives the next pending envelope, if any.
-    pub fn try_recv(&self) -> Option<Envelope> {
-        self.receiver.try_recv().ok()
+    /// Whether any peer lives in another process: nothing wakes a worker
+    /// parked on its mailbox when bytes reach one of its sockets.
+    pub(crate) fn has_links(&self) -> bool {
+        self.mesh.is_some()
     }
 
-    /// A non-blocking iterator over the currently pending envelopes.
+    /// Writes every frame staged on this process's links — by this worker or a
+    /// sibling — to their sockets. [`Worker::step`](crate::worker::Worker::step)
+    /// ends with this; code that drives a raw allocator calls it after
+    /// [`send_to`].
+    pub fn flush(&self) {
+        if let Some(mesh) = &self.mesh {
+            mesh.flush(None);
+        }
+    }
+
+    /// Receives the next pending envelope, if any. The sockets are read only
+    /// when the mailbox is empty: a loop that drains the mailbox reads them
+    /// until they have nothing more to give, an idle step reads each once.
+    pub fn try_recv(&self) -> Option<Envelope> {
+        if let Ok(envelope) = self.receiver.try_recv() {
+            return Some(envelope);
+        }
+        if self.mesh.as_ref()?.poll() {
+            self.receiver.try_recv().ok()
+        } else {
+            None
+        }
+    }
+
+    /// A non-blocking iterator over the envelopes already in the mailbox (the
+    /// sockets are not read: see [`try_recv`](Allocator::try_recv)).
     pub fn try_iter(&self) -> impl Iterator<Item = Envelope> + '_ {
         self.receiver.try_iter()
     }
@@ -339,10 +363,15 @@ impl Allocator {
     ///
     /// This is how an idle worker burns ~0 CPU instead of spin-yielding: every
     /// path that can create work for a parked worker — a peer's data envelope,
-    /// a progress broadcast, a frame routed in by the cluster reader thread —
-    /// lands in this mailbox, and the channel's no-lost-wakeup protocol
-    /// guarantees a send during the park transition is observed.
+    /// a progress broadcast, a frame a sibling worker read off a link — lands
+    /// in this mailbox, and the channel's no-lost-wakeup protocol guarantees a
+    /// send during the park transition is observed. Bytes that reach a socket
+    /// while every worker of the process is parked wake nobody: the sockets
+    /// are read before parking, and a caller with links keeps `timeout` short.
     pub fn wait(&self, timeout: Option<std::time::Duration>) -> bool {
+        if let Some(mesh) = &self.mesh {
+            mesh.poll();
+        }
         self.receiver.wait(timeout)
     }
 }
@@ -375,9 +404,9 @@ pub fn send_to(senders: &[WorkerSender], target: usize, envelope: Envelope) {
         WorkerSender::Local(tx) => {
             let _ = tx.send(envelope);
         }
-        WorkerSender::Remote { to, tx } => {
+        WorkerSender::Remote { to, mesh, link } => {
             debug_assert_eq!(*to, target, "remote sender routed to the wrong worker");
-            let _ = tx.send(encode_frame(&envelope, *to));
+            mesh.stage(*link, encode_frame(&envelope, *to));
         }
     }
 }
@@ -385,6 +414,7 @@ pub fn send_to(senders: &[WorkerSender], target: usize, envelope: Envelope) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::communication::net::tests::{mesh_pair, take_staged};
 
     #[test]
     fn allocate_builds_full_mesh() {
@@ -450,8 +480,8 @@ mod tests {
 
     #[test]
     fn remote_sender_frames_envelopes() {
-        let (tx, rx) = unbounded();
-        let senders = vec![WorkerSender::Remote { to: 0, tx }];
+        let (mesh, _peer) = mesh_pair();
+        let senders = vec![WorkerSender::Remote { to: 0, mesh: Arc::clone(&mesh), link: 0 }];
         let batches: Vec<(u64, Vec<u64>)> = vec![(5, vec![1, 3])];
         send_to(
             &senders,
@@ -463,7 +493,7 @@ mod tests {
                 payload: Payload::DataBytes(Slab::new(batches.encode_to_vec())),
             },
         );
-        let frame = rx.try_recv().expect("frame expected");
+        let frame = take_staged(&mesh).pop().expect("frame expected");
         let bytes = frame.to_bytes();
         let (envelope, to) = decode_frame(&bytes[8..]);
         assert_eq!(to, 0);

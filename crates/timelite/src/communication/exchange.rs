@@ -143,8 +143,9 @@ pub struct Pusher<T: Timestamp, D> {
     activations: Option<(usize, SharedActivations)>,
 }
 
-/// Default adaptive flush budget: 1 MiB of estimated staged bytes per target.
-const DEFAULT_FLUSH_BUDGET: usize = 1 << 20;
+/// Default adaptive flush budget: 1 MiB of estimated staged bytes per target
+/// (and of frames staged on one link of a [`Mesh`](super::net::Mesh)).
+pub(crate) const DEFAULT_FLUSH_BUDGET: usize = 1 << 20;
 
 /// Encodes the batches staged for a remote target into the slab its frame will
 /// carry. The buffer is sized once, from the bytes the pusher counted while
@@ -558,24 +559,22 @@ mod tests {
     #[test]
     fn broadcast_to_remote_targets_shares_one_encoding() {
         use crate::communication::allocator::decode_frame;
+        use crate::communication::net::tests::{mesh_pair, take_staged};
         use crossbeam_channel::unbounded;
 
         // Worker 0 of 3, where workers 1 and 2 live in another "process":
         // a broadcast flush must produce byte-identical frames for both from
         // a single payload encoding.
-        let (frame_tx, frame_rx) = unbounded();
-        let senders = vec![
-            WorkerSender::Local(unbounded().0),
-            WorkerSender::Remote { to: 1, tx: frame_tx.clone() },
-            WorkerSender::Remote { to: 2, tx: frame_tx },
-        ];
+        let (mesh, _peer) = mesh_pair();
+        let remote = |to| WorkerSender::Remote { to, mesh: mesh.clone(), link: 0 };
+        let senders = vec![WorkerSender::Local(unbounded().0), remote(1), remote(2)];
         let local: SharedQueue<u64, u64> = shared_queue();
         let produced = shared_changes();
         let mut pusher =
             Pusher::new(Pact::Broadcast, 0, 0, 0, 3, Rc::clone(&local), senders, produced);
         pusher.push(&4, vec![7, 8]);
         pusher.flush();
-        let frames: Vec<_> = frame_rx.try_iter().collect();
+        let frames = take_staged(&mesh);
         assert_eq!(frames.len(), 2, "one frame per remote target");
         let mut payloads = Vec::new();
         for frame in &frames {
@@ -604,6 +603,7 @@ mod tests {
     /// re-encodes (and no debug assertion may sneak a re-encode in either).
     #[test]
     fn broadcast_encodes_each_record_exactly_once() {
+        use crate::communication::net::tests::{mesh_pair, take_staged};
         use crossbeam_channel::unbounded;
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -622,13 +622,9 @@ mod tests {
         }
 
         // Worker 0 of 4 with three remote targets.
-        let (frame_tx, frame_rx) = unbounded();
-        let senders = vec![
-            WorkerSender::Local(unbounded().0),
-            WorkerSender::Remote { to: 1, tx: frame_tx.clone() },
-            WorkerSender::Remote { to: 2, tx: frame_tx.clone() },
-            WorkerSender::Remote { to: 3, tx: frame_tx },
-        ];
+        let (mesh, _peer) = mesh_pair();
+        let remote = |to| WorkerSender::Remote { to, mesh: mesh.clone(), link: 0 };
+        let senders = vec![WorkerSender::Local(unbounded().0), remote(1), remote(2), remote(3)];
         let local: SharedQueue<u64, CountingRecord> = shared_queue();
         let produced = shared_changes();
         let mut pusher =
@@ -637,7 +633,7 @@ mod tests {
         pusher.push(&1, vec![CountingRecord(10), CountingRecord(11)]);
         pusher.push(&2, vec![CountingRecord(12)]);
         pusher.flush();
-        assert_eq!(frame_rx.try_iter().count(), 3, "one frame per remote target");
+        assert_eq!(take_staged(&mesh).len(), 3, "one frame per remote target");
         assert_eq!(
             ENCODES.load(Ordering::SeqCst),
             3,

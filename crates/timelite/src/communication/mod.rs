@@ -10,6 +10,7 @@ pub use allocator::{
 };
 pub use net::{
     cluster_allocate, free_addresses, read_len_frame, write_len_frame, ClusterGuard, ClusterSpec,
+    Mesh,
 };
 pub use exchange::{
     shared_changes, shared_queue, shared_tee, MultiBatch, Pact, Pusher, SharedChanges, SharedQueue,

@@ -19,35 +19,45 @@
 //!   prefixes) into a [`WireFrame`] — a stamped `[len u64][header]` prefix
 //!   plus the payload as a ref-counted [`Slab`] — and
 //!   written on the wire as `[len u64][header][payload]`.
-//! * **Writer threads** (one per remote process): drain a channel of
-//!   [`WireFrame`]s — fed by every local worker's [`WorkerSender::Remote`]
-//!   handles — and *scatter* them into the socket with vectored writes
-//!   (prefix and payload as separate I/O slices, many frames per syscall),
-//!   so a payload slab encoded once is never recopied, not even for
-//!   broadcasts that queue the same slab to several connections. The thread
-//!   exits when all sender handles drop (the local workers finished).
-//! * **Reader threads** (one per remote process): fill large slab regions
-//!   from the socket, slice each frame's payload out of its region zero-copy
-//!   and rebuild envelopes with still-encoded payloads
+//! * **Links** ([`Mesh`]): the connection to a remote process is driven by
+//!   this process's workers themselves — *a worker writes what its step
+//!   staged and reads before it receives*. [`send_to`](super::send_to) on a
+//!   [`WorkerSender::Remote`] stages the [`WireFrame`] on the link;
+//!   [`Worker::step`](crate::worker::Worker::step) ends by *scattering*
+//!   everything staged into the socket with vectored, non-blocking writes
+//!   (prefix and payload as separate I/O slices, the step's data and its
+//!   progress batch in one syscall), so a payload slab encoded once is never
+//!   recopied, not even for broadcasts that stage the same slab on several
+//!   links. [`Allocator::try_recv`] and [`Allocator::wait`] read each socket
+//!   without blocking into large slab regions, slice each frame's payload out
+//!   of its region zero-copy and rebuild envelopes with still-encoded payloads
 //!   ([`Payload::DataBytes`](crate::communication::Payload::DataBytes) /
 //!   [`Payload::ProgressBytes`](crate::communication::Payload::ProgressBytes))
-//!   which they push into the destination worker's local mailbox. The thread
-//!   exits on EOF (the remote process finished).
+//!   which they push into the destination worker's local mailbox — their own,
+//!   or a sibling's, which wakes it. A write that would block reads instead,
+//!   so the socket buffers are both the bound on what is in flight and the
+//!   back-pressure; an idle worker, which nothing wakes when bytes reach a
+//!   socket, parks in short slices and reads between them.
+//! * **Shutdown** ([`ClusterGuard::close`]): once its workers are done a
+//!   process half-closes every link and reads each to end-of-stream, so that
+//!   no connection is reset under frames a peer has yet to read.
 //!
 //! Everything above this module — pushers, pacts, progress tracking, the
-//! worker — is unchanged: a remote peer is just a [`WorkerSender`] variant.
+//! worker's scheduling — is unchanged: a remote peer is just a
+//! [`WorkerSender`] variant.
 
 use std::io::{self, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use crossbeam_channel::{unbounded, Sender};
 
 use super::allocator::{
     decode_frame_parts, Allocator, Envelope, PeerStatus, WireFrame, WorkerSender,
     FRAME_HEADER_BYTES, FRAME_PREFIX_BYTES,
 };
+use super::exchange::DEFAULT_FLUSH_BUDGET;
 use crate::codec::Slab;
 
 /// Builds an [`io::Error`] with bootstrap context attached.
@@ -299,16 +309,22 @@ pub fn read_len_frame<R: Read>(reader: &mut R, max_len: usize) -> io::Result<Vec
     Ok(payload)
 }
 
-/// Most frames a writer gathers into a single vectored write. Two I/O slices
-/// per frame (prefix, payload) keeps the iovec under typical `IOV_MAX`.
-const WRITER_BATCH_FRAMES: usize = 64;
+/// Most frames one vectored write gathers. Two I/O slices per frame (prefix,
+/// payload) keeps the iovec under typical `IOV_MAX`.
+const WRITE_WINDOW_FRAMES: usize = 64;
 
-/// Writes `frames` to `stream` as a scatter list — each frame contributes its
+/// Writes `frames` to `stream` as scatter lists — each frame contributes its
 /// stamped prefix and its payload slab as separate [`IoSlice`]s — so payload
 /// bytes go from their encode-time slab straight into the kernel with no
-/// intermediate contiguous copy. Handles partial vectored writes by resuming
-/// mid-slice.
-fn write_frames(stream: &mut TcpStream, frames: &[WireFrame]) -> std::io::Result<()> {
+/// intermediate contiguous copy. One write takes a window of at most
+/// [`WRITE_WINDOW_FRAMES`] frames and a partial write resumes by offset, so
+/// the work is linear in the frames however the socket cuts them. When the
+/// socket would block, `wait` says whether to try again.
+fn write_frames(
+    mut stream: &TcpStream,
+    frames: &[WireFrame],
+    mut wait: impl FnMut() -> bool,
+) -> io::Result<()> {
     let slice_at = |index: usize| -> &[u8] {
         let frame = &frames[index / 2];
         if index.is_multiple_of(2) {
@@ -318,25 +334,29 @@ fn write_frames(stream: &mut TcpStream, frames: &[WireFrame]) -> std::io::Result
         }
     };
     let total = frames.len() * 2;
-    let mut index = 0;
-    let mut offset = 0;
-    while index < total {
-        let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(total - index);
-        for i in index..total {
-            let slice = slice_at(i);
-            let slice = if i == index { &slice[offset..] } else { slice };
-            if !slice.is_empty() {
-                iov.push(IoSlice::new(slice));
-            }
+    let (mut index, mut offset) = (0, 0);
+    let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(total.min(2 * WRITE_WINDOW_FRAMES));
+    loop {
+        // Skip slices that are fully written (and empty payloads).
+        while index < total && slice_at(index).len() == offset {
+            index += 1;
+            offset = 0;
         }
-        if iov.is_empty() {
-            return Ok(()); // Only empty slices remained.
+        if index == total {
+            return Ok(());
         }
-        let mut written = stream.write_vectored(&iov)?;
-        if written == 0 {
-            return Err(std::io::ErrorKind::WriteZero.into());
-        }
-        while index < total && written > 0 {
+        iov.clear();
+        iov.push(IoSlice::new(&slice_at(index)[offset..]));
+        let window = total.min(index + 2 * WRITE_WINDOW_FRAMES);
+        iov.extend((index + 1..window).map(|index| IoSlice::new(slice_at(index))));
+        let mut written = match stream.write_vectored(&iov) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(written) => written,
+            Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
+            Err(error) if error.kind() == io::ErrorKind::WouldBlock && wait() => continue,
+            Err(error) => return Err(error),
+        };
+        while written > 0 {
             let remaining = slice_at(index).len() - offset;
             if written >= remaining {
                 written -= remaining;
@@ -347,41 +367,11 @@ fn write_frames(stream: &mut TcpStream, frames: &[WireFrame]) -> std::io::Result
                 written = 0;
             }
         }
-        // Skip slices that were already fully consumed (empty payloads).
-        while index < total && slice_at(index).len() == offset {
-            index += 1;
-            offset = 0;
-        }
-    }
-    Ok(())
-}
-
-/// The writer loop: drains [`WireFrame`]s — prefix stamped at encode time,
-/// payload a ref-counted slab — and scatters them into the socket with
-/// vectored writes, gathering every frame already queued (up to
-/// [`WRITER_BATCH_FRAMES`]) into one syscall. Exits when every sender handle
-/// has been dropped.
-/// A write error is *reported* (counted on the shared [`PeerStatus`]) but not
-/// fatal: a remote that finished its dataflows closes its socket while our
-/// final frames may still be queued, and that benign race must not fail a
-/// completed computation. A remote that died mid-computation is detected by
-/// the reader thread instead, which sees the truncated incoming stream.
-fn writer_loop(mut stream: TcpStream, frames: Receiver<WireFrame>, status: Arc<PeerStatus>) {
-    let mut batch: Vec<WireFrame> = Vec::with_capacity(WRITER_BATCH_FRAMES);
-    while let Ok(frame) = frames.recv() {
-        batch.clear();
-        batch.push(frame);
-        batch.extend(frames.try_iter().take(WRITER_BATCH_FRAMES - 1));
-        if write_frames(&mut stream, &batch).is_err() {
-            // The remote process is gone; drain and drop remaining frames.
-            status.report_write_error();
-            return;
-        }
     }
 }
 
-/// Smallest and largest read-region sizes: the reader doubles its region
-/// whenever a refill saturates it and shrinks back toward the bytes actually
+/// Smallest and largest read-region sizes: a link doubles its region
+/// whenever a read saturates it and shrinks back toward the bytes actually
 /// read for chatty round-trip traffic, so neither large transfers nor small
 /// pings pay for the other (a region is zeroed before the `read`, so an
 /// oversized one costs a memset per refill).
@@ -389,118 +379,319 @@ const MIN_READ_REGION_BYTES: usize = 4 << 10;
 /// See [`MIN_READ_REGION_BYTES`].
 const MAX_READ_REGION_BYTES: usize = 256 << 10;
 
-/// The reader loop: fills ref-counted slab *regions* from the socket — one
-/// `read` can return many frames — and slices each frame's payload out of the
-/// region zero-copy before routing the envelope into the destination worker's
-/// local mailbox, until EOF. A frame spanning a region boundary carries its
-/// partial prefix into the next region (the only copied bytes on the path).
-///
-/// A broken connection *between* frames is a clean shutdown (the remote
-/// process finished and closed its socket). A failure *mid-frame* — a peer
-/// that died half-way through a write — strands this process: this thread is
-/// the only one that can observe the peer's death, and exiting silently would
-/// leave the worker threads waiting forever on envelopes that never arrive.
-/// The failure is recorded on the shared [`PeerStatus`]; each worker's step
-/// loop checks it and raises an ordinary, catchable panic (replacing the
-/// process-wide `abort()` this thread used to call).
-fn reader_loop(
-    mut stream: TcpStream,
-    first_worker: usize,
-    mailboxes: Vec<Sender<Envelope>>,
-    status: Arc<PeerStatus>,
-) {
-    macro_rules! fatal {
-        ($message:expr) => {{
-            status.report_fatal(format!("cluster connection failed: {}", $message));
-            return;
-        }};
+/// Longest frame a link accepts. A length prefix is input from outside the
+/// process, and the next region is allocated from it.
+const MAX_FRAME_BYTES: usize = u32::MAX as usize;
+
+/// The reading half of a [`Link`]: fills ref-counted slab *regions* from the
+/// socket — one `read` can return many frames — and slices each frame's
+/// payload out of the region zero-copy. A frame spanning a region boundary
+/// carries what arrived of it into the next region (the only copied bytes on
+/// the path). Nothing here blocks: the state between two calls is the region
+/// being filled, so a frame can arrive over any number of them.
+struct LinkReader {
+    /// The region being filled: `filled` bytes of it are in, starting with
+    /// the frame the last region ended in the middle of. It becomes a slab,
+    /// and is sliced, once `needed` bytes are (that frame's known extent).
+    buf: Vec<u8>,
+    filled: usize,
+    needed: usize,
+    /// Next region size (see [`MIN_READ_REGION_BYTES`]).
+    region_bytes: usize,
+    /// The peer closed its end, or the link failed: nothing more will come.
+    closed: bool,
+}
+
+impl LinkReader {
+    fn new() -> Self {
+        LinkReader {
+            buf: vec![0u8; MIN_READ_REGION_BYTES],
+            filled: 0,
+            needed: 8,
+            region_bytes: MIN_READ_REGION_BYTES,
+            closed: false,
+        }
     }
-    let mut region = Slab::empty();
-    let mut pos = 0usize;
-    // Next region size: doubled when a refill fills the whole region (the
-    // socket had more in store), re-shrunk toward the bytes actually read so
-    // a mostly-idle connection zeroes kilobytes, not the maximum region.
-    let mut region_bytes = MIN_READ_REGION_BYTES;
-    loop {
-        // Slice every complete frame out of the frozen region.
+
+    /// Slices every complete frame out of the filled region into `route`,
+    /// then carries the partial frame (if any) into a fresh region to fill.
+    fn slice_region(
+        &mut self,
+        mut route: impl FnMut(Envelope, usize) -> bool,
+    ) -> Result<(), &'static str> {
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.truncate(self.filled);
+        let region = Slab::new(buf);
+        let mut pos = 0;
+        self.needed = 8;
         while region.len() - pos >= 8 {
             let len =
                 u64::from_le_bytes(region[pos..pos + 8].try_into().expect("8 bytes")) as usize;
-            if len < FRAME_HEADER_BYTES {
-                fatal!("frame shorter than its header");
+            if !(FRAME_HEADER_BYTES..=MAX_FRAME_BYTES).contains(&len) {
+                return Err("frame length out of range");
             }
             if region.len() - pos < 8 + len {
-                break; // Frame continues in the next region.
+                self.needed = 8 + len; // Frame continues in the next region.
+                break;
             }
-            let header: [u8; FRAME_HEADER_BYTES] = region[pos + 8..pos + FRAME_PREFIX_BYTES]
-                .try_into()
-                .expect("header bytes");
+            let header: [u8; FRAME_HEADER_BYTES] =
+                region[pos + 8..pos + FRAME_PREFIX_BYTES].try_into().expect("header bytes");
             let payload = region.slice(pos + FRAME_PREFIX_BYTES..pos + 8 + len);
             pos += 8 + len;
             let (envelope, to) = decode_frame_parts(&header, payload);
-            let Some(local) =
-                to.checked_sub(first_worker).filter(|local| mailboxes.len() > *local)
-            else {
-                fatal!("frame routed to a worker this process does not host");
-            };
-            // A send failure means the local worker already completed its
-            // dataflows; the message is irrelevant, exactly as for local sends.
-            let _ = mailboxes[local].send(envelope);
-        }
-
-        // Refill: carry the partial frame (if any) into a fresh region and
-        // block until at least the pending frame's known extent is in.
-        let tail = region.len() - pos;
-        let needed = if tail >= 8 {
-            8 + u64::from_le_bytes(region[pos..pos + 8].try_into().expect("8 bytes")) as usize
-        } else {
-            8
-        };
-        let target = region_bytes.max(needed);
-        let mut buf = vec![0u8; target];
-        buf[..tail].copy_from_slice(&region[pos..]);
-        let mut filled = tail;
-        while filled < needed {
-            match stream.read(&mut buf[filled..]) {
-                Ok(0) | Err(_) if filled == 0 => {
-                    return; // EOF at a frame boundary: clean remote shutdown.
-                }
-                Ok(0) | Err(_) => fatal!("peer died mid-frame (truncated frame)"),
-                Ok(read) => filled += read,
+            if !route(envelope, to) {
+                return Err("frame routed to a worker this process does not host");
             }
         }
-        region_bytes = if filled == buf.len() {
-            (target * 2).min(MAX_READ_REGION_BYTES)
-        } else {
-            (filled - tail)
-                .next_power_of_two()
-                .clamp(MIN_READ_REGION_BYTES, MAX_READ_REGION_BYTES)
-        };
-        buf.truncate(filled);
-        region = Slab::new(buf);
-        pos = 0;
+        let tail = &region[pos..];
+        self.buf = vec![0u8; self.region_bytes.max(self.needed)];
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.filled = tail.len();
+        Ok(())
+    }
+
+    /// Reads what the socket holds right now and routes every frame that
+    /// completes (`route` says whether the destination exists). Returns
+    /// whether any bytes arrived. A connection that ends *between* frames is a
+    /// clean shutdown (the remote process finished and closed its socket); one
+    /// that ends or fails *mid-frame* — a peer that died half-way through a
+    /// write — strands this process, and is an error. An empty socket is
+    /// neither.
+    fn read_available(
+        &mut self,
+        mut stream: &TcpStream,
+        mut route: impl FnMut(Envelope, usize) -> bool,
+    ) -> Result<bool, &'static str> {
+        let mut any = false;
+        while !self.closed {
+            let free = self.buf.len() - self.filled;
+            let read = match stream.read(&mut self.buf[self.filled..]) {
+                Ok(read) if read > 0 => read,
+                Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
+                Err(error) if error.kind() == io::ErrorKind::WouldBlock => break,
+                Ok(_) | Err(_) => {
+                    self.closed = true;
+                    if self.filled > 0 {
+                        return Err("peer died mid-frame (truncated frame)");
+                    }
+                    break;
+                }
+            };
+            any = true;
+            self.filled += read;
+            if self.filled >= self.needed {
+                self.region_bytes = if read == free {
+                    (self.buf.len() * 2).min(MAX_READ_REGION_BYTES)
+                } else {
+                    read.next_power_of_two().clamp(MIN_READ_REGION_BYTES, MAX_READ_REGION_BYTES)
+                };
+                self.slice_region(&mut route)?;
+            }
+            if read < free {
+                break; // A short read: the socket is drained.
+            }
+        }
+        Ok(any)
     }
 }
 
-/// Join handles for a cluster's socket writer threads.
+/// What a [`Link`]'s one lock guards: the frames staged for the socket and the
+/// state of the read in progress.
+struct LinkState {
+    staged: Vec<WireFrame>,
+    staged_bytes: usize,
+    /// The last write failed: the remote process is gone, frames for it are
+    /// dropped.
+    write_failed: bool,
+    reader: LinkReader,
+}
+
+/// The connection to one remote process: a non-blocking socket (`&TcpStream`
+/// reads and writes) and everything about it that changes, under one lock.
+struct Link {
+    stream: TcpStream,
+    state: Mutex<LinkState>,
+}
+
+impl Link {
+    fn new(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nonblocking(true)?;
+        let state = LinkState {
+            staged: Vec::new(),
+            staged_bytes: 0,
+            write_failed: false,
+            reader: LinkReader::new(),
+        };
+        Ok(Link { stream, state: Mutex::new(state) })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LinkState> {
+        self.state.lock().expect("a worker panicked while driving this link")
+    }
+}
+
+/// A process's links, one per remote process, driven by its workers
+/// themselves: [`send_to`](super::send_to) stages frames on a link, a worker's
+/// step ends by writing what is staged, and a worker reads the links before
+/// it receives from its mailbox. There is no thread behind them and no queue
+/// but the sockets' own buffers.
 ///
-/// The writers drain their frame channels until every sender handle has been
-/// dropped — i.e. until every local worker has finished — and only then exit,
-/// having written everything. A process must [`flush`](ClusterGuard::flush)
-/// the guard before terminating: exiting while a writer still holds queued
-/// frames (a worker's final progress updates, typically) silently drops them,
-/// leaving the remote process's progress tracker waiting forever.
+/// Everything about one link happens under its one lock. Frames are taken and
+/// written under it, so each sender's frames reach the wire in the order it
+/// staged them however many workers share the link; and the worker that reads
+/// routes every frame to its destination's mailbox, which wakes a sibling
+/// parked there exactly as a send from a local peer would.
+pub struct Mesh {
+    /// Global index of this process's first worker, and its workers' mailboxes.
+    first_worker: usize,
+    mailboxes: Vec<Sender<Envelope>>,
+    /// The remote-peer health record the workers of this process share.
+    pub(crate) status: PeerStatus,
+    links: Vec<Link>,
+}
+
+impl std::fmt::Debug for Mesh {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Mesh({} links)", self.links.len())
+    }
+}
+
+impl Mesh {
+    /// Stages `frame` on link `at` for the next [`flush`](Mesh::flush). A link
+    /// that already holds [`DEFAULT_FLUSH_BUDGET`] bytes writes right away, so
+    /// a step never buffers a whole migration.
+    pub(crate) fn stage(&self, at: usize, frame: WireFrame) {
+        let mut state = self.links[at].lock();
+        if state.write_failed {
+            return;
+        }
+        state.staged_bytes += frame.wire_len();
+        state.staged.push(frame);
+        if state.staged_bytes >= DEFAULT_FLUSH_BUDGET {
+            self.write_staged(at, &mut state, None);
+        }
+    }
+
+    /// Writes every staged frame of every link to its socket, giving up on a
+    /// link that still would block at `deadline`.
+    pub(crate) fn flush(&self, deadline: Option<Instant>) {
+        for (at, link) in self.links.iter().enumerate() {
+            let mut state = link.lock();
+            if !state.staged.is_empty() {
+                self.write_staged(at, &mut state, deadline);
+            }
+        }
+    }
+
+    /// Routes what the sockets hold into the local mailboxes; returns whether
+    /// any bytes arrived. A link another worker holds is passed over:
+    /// whatever that worker is doing there, it reads before it waits for
+    /// anything, and a frame it leaves behind is read by whoever comes next.
+    pub(crate) fn poll(&self) -> bool {
+        let mut any = false;
+        for link in &self.links {
+            match link.state.try_lock() {
+                Ok(mut state) => any |= self.read_available(link, &mut state.reader),
+                Err(TryLockError::WouldBlock) => {}
+                Err(TryLockError::Poisoned(_)) => {
+                    panic!("a worker panicked while driving this link")
+                }
+            }
+        }
+        any
+    }
+
+    /// Reads and routes without blocking; reports a stranding failure on the
+    /// shared [`PeerStatus`], where every worker's step finds it. Returns
+    /// whether any bytes arrived.
+    fn read_available(&self, link: &Link, reader: &mut LinkReader) -> bool {
+        let route = |envelope, to: usize| {
+            let mailbox = to.checked_sub(self.first_worker).and_then(|at| self.mailboxes.get(at));
+            // A send failure means the local worker already completed its
+            // dataflows; the message is irrelevant, exactly as for local sends.
+            mailbox.map(|mailbox| mailbox.send(envelope)).is_some()
+        };
+        reader.read_available(&link.stream, route).unwrap_or_else(|message| {
+            reader.closed = true;
+            self.status.report_fatal(format!("cluster connection failed: {message}"));
+            false
+        })
+    }
+
+    /// Writes the frames staged on link `at`, all of them, before anything
+    /// staged later can reach the socket. A write that would block reads
+    /// instead of waiting — this link under the lock it holds, the others as
+    /// [`poll`](Mesh::poll) does: the socket buffers are the only bound on
+    /// what is in flight, and processes writing more than those hold at each
+    /// other, pairwise or round a cycle, must all finish. The price: the
+    /// write is part of the worker's step, so until the peer reads (or
+    /// `deadline` passes) this worker yields in a loop and runs no operator.
+    ///
+    /// A write error is not fatal: a remote that finished its dataflows closes
+    /// its socket while our final frames may still be staged, and that benign
+    /// race must not fail a completed computation. A remote that died
+    /// mid-computation shows in the truncated incoming stream instead.
+    fn write_staged(&self, at: usize, state: &mut LinkState, deadline: Option<Instant>) {
+        let link = &self.links[at];
+        let LinkState { staged, staged_bytes, write_failed, reader } = state;
+        let wait = || {
+            if !(self.read_available(link, reader) | self.poll()) {
+                std::thread::yield_now();
+            }
+            self.status.fatal().is_none() && deadline.is_none_or(|end| Instant::now() < end)
+        };
+        *write_failed = write_frames(&link.stream, staged, wait).is_err();
+        staged.clear();
+        *staged_bytes = 0;
+    }
+}
+
+/// How long a process that is done waits for its peers to be done as well
+/// (see [`ClusterGuard::close`]). Dataflows complete everywhere at once, so
+/// only a peer that hangs or was killed makes anyone wait this long.
+const CLOSE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A process's links, kept to end them in order once its workers are done.
 #[derive(Debug, Default)]
 pub struct ClusterGuard {
-    writers: Vec<std::thread::JoinHandle<()>>,
+    mesh: Option<Arc<Mesh>>,
 }
 
 impl ClusterGuard {
-    /// Blocks until every queued outgoing frame has reached its socket (the
-    /// writer threads exit). Call after all local workers have completed.
-    pub fn flush(self) {
-        for writer in self.writers {
-            let _ = writer.join();
+    /// Ends every connection without losing a peer's last frames: whatever is
+    /// still staged is written and every link half-closed, then each is read
+    /// (discarding — nobody is left to receive) until its peer has closed as
+    /// well. `CLOSE_TIMEOUT` (5 s) bounds all of it, the write included: a
+    /// peer that is alive but never reads must not keep this process from
+    /// exiting. Closing a socket with unread
+    /// inbound bytes resets the connection under the frames the peer has yet
+    /// to read — this process's final progress updates, typically — and
+    /// leaves that peer's tracker waiting forever. Call after all local
+    /// workers have completed.
+    pub fn close(self) {
+        let Some(mesh) = self.mesh else { return };
+        let deadline = Instant::now() + CLOSE_TIMEOUT;
+        mesh.flush(Some(deadline));
+        // Every link is half-closed before any is waited on: processes
+        // waiting for each other's end-of-stream round a cycle would not end.
+        for link in &mesh.links {
+            let _ = link.stream.shutdown(Shutdown::Write);
+        }
+        let mut sink = [0u8; MIN_READ_REGION_BYTES];
+        for link in &mesh.links {
+            let _ = link.stream.set_nonblocking(false);
+            loop {
+                let remaining = deadline.saturating_duration_since(Instant::now());
+                if remaining.is_zero() || link.stream.set_read_timeout(Some(remaining)).is_err() {
+                    break;
+                }
+                match (&link.stream).read(&mut sink) {
+                    Ok(0) => break,
+                    Ok(_) => {}
+                    Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => break, // Timed out, or the peer is gone.
+                }
+            }
         }
     }
 }
@@ -509,7 +700,7 @@ impl ClusterGuard {
 ///
 /// Blocks until the full process mesh is connected (every pair handshaken and
 /// barriered), then returns one [`Allocator`] per local worker, plus the
-/// [`ClusterGuard`] to flush before the process exits. The allocators carry
+/// [`ClusterGuard`] to close before the process exits. The allocators carry
 /// *global* worker indices: worker `w` of process `p` is global worker
 /// `p * workers_per_process + w` of `processes * workers_per_process` peers.
 ///
@@ -537,61 +728,29 @@ pub fn cluster_allocate(spec: &ClusterSpec) -> io::Result<(Vec<Allocator>, Clust
     let streams = connect_mesh(spec, &listener)?;
 
     // Local mailboxes, one per local worker.
-    let mut mailbox_txs = Vec::with_capacity(spec.workers_per_process);
-    let mut mailbox_rxs = Vec::with_capacity(spec.workers_per_process);
-    for _ in 0..spec.workers_per_process {
-        let (tx, rx) = unbounded();
-        mailbox_txs.push(tx);
-        mailbox_rxs.push(rx);
-    }
+    let (mailbox_txs, mailbox_rxs): (Vec<_>, Vec<_>) =
+        (0..spec.workers_per_process).map(|_| unbounded()).unzip();
 
-    // One writer and one reader thread per remote process, sharing one
-    // peer-health record that the workers' allocators watch. The writer
-    // handles are joined by the ClusterGuard so no process exits with frames
-    // queued.
-    let status = Arc::new(PeerStatus::default());
-    let mut writer_txs: Vec<Option<Sender<WireFrame>>> =
-        (0..spec.processes()).map(|_| None).collect();
-    let mut writers = Vec::new();
-    for (peer, stream) in streams.into_iter().enumerate() {
-        let Some(stream) = stream else { continue };
-        let (frame_tx, frame_rx) = unbounded::<WireFrame>();
-        writer_txs[peer] = Some(frame_tx);
-        let write_stream = stream.try_clone().map_err(|error| {
-            io::Error::new(
-                error.kind(),
-                format!("could not clone the socket to process {peer}: {error}"),
-            )
-        })?;
-        let writer_status = Arc::clone(&status);
-        writers.push(
-            std::thread::Builder::new()
-                .name(format!("timelite-net-writer-{}-{}", spec.process, peer))
-                .spawn(move || writer_loop(write_stream, frame_rx, writer_status))?,
-        );
-        let mailboxes = mailbox_txs.clone();
-        let first_worker = spec.first_worker();
-        let reader_status = Arc::clone(&status);
-        std::thread::Builder::new()
-            .name(format!("timelite-net-reader-{}-{}", spec.process, peer))
-            .spawn(move || reader_loop(stream, first_worker, mailboxes, reader_status))?;
-    }
+    // One link per remote process, in process order (this process has none).
+    let first = spec.first_worker();
+    let links = streams.into_iter().flatten().map(Link::new).collect::<io::Result<_>>()?;
+    let mesh = Arc::new(Mesh {
+        first_worker: first,
+        mailboxes: mailbox_txs.clone(),
+        status: PeerStatus::default(),
+        links,
+    });
 
     // The global sender table every local worker shares: in-memory channels to
-    // local mailboxes, framed writer channels to everyone else.
+    // local mailboxes, links to everyone else.
     let total = spec.total_workers();
-    let first = spec.first_worker();
     let senders: Vec<WorkerSender> = (0..total)
-        .map(|worker| {
-            if (first..first + spec.workers_per_process).contains(&worker) {
-                WorkerSender::Local(mailbox_txs[worker - first].clone())
-            } else {
+        .map(|worker| match worker.checked_sub(first).and_then(|local| mailbox_txs.get(local)) {
+            Some(mailbox) => WorkerSender::Local(mailbox.clone()),
+            None => {
                 let process = worker / spec.workers_per_process;
-                let tx = writer_txs[process]
-                    .as_ref()
-                    .expect("a remote worker's process must have a connection")
-                    .clone();
-                WorkerSender::Remote { to: worker, tx }
+                let link = process - usize::from(process > spec.process);
+                WorkerSender::Remote { to: worker, mesh: Arc::clone(&mesh), link }
             }
         })
         .collect();
@@ -601,17 +760,40 @@ pub fn cluster_allocate(spec: &ClusterSpec) -> io::Result<(Vec<Allocator>, Clust
         .enumerate()
         .map(|(local, receiver)| {
             Allocator::from_parts(first + local, total, senders.clone(), receiver)
-                .with_peer_status(Arc::clone(&status))
+                .with_mesh(Arc::clone(&mesh))
         })
         .collect();
-    Ok((allocators, ClusterGuard { writers }))
+    Ok((allocators, ClusterGuard { mesh: Some(mesh) }))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::codec::Codec;
     use crate::communication::{send_to, Payload};
+
+    /// Two single-link meshes over one loopback connection, with no mailboxes
+    /// behind them: what [`send_to`](crate::communication::send_to) stages on
+    /// one stays there for [`take_staged`] to inspect.
+    pub(crate) fn mesh_pair() -> (Arc<Mesh>, Arc<Mesh>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind failed");
+        let address = listener.local_addr().expect("local addr");
+        let dialed = TcpStream::connect(address).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        let mesh = |stream| {
+            let links = vec![Link::new(stream).expect("non-blocking socket")];
+            let (mailboxes, status) = (Vec::new(), PeerStatus::default());
+            Arc::new(Mesh { first_worker: 0, mailboxes, status, links })
+        };
+        (mesh(dialed), mesh(accepted))
+    }
+
+    /// Takes the frames staged on `mesh`'s link and not yet written.
+    pub(crate) fn take_staged(mesh: &Mesh) -> Vec<WireFrame> {
+        let mut state = mesh.links[0].lock();
+        state.staged_bytes = 0;
+        std::mem::take(&mut state.staged)
+    }
 
     /// Runs `func(process)` on one thread per process, with the shared address
     /// list, and returns the per-process results in index order.
@@ -692,11 +874,13 @@ mod tests {
         stream.write_all(&100u64.to_le_bytes()).expect("len prefix");
         stream.write_all(&[0u8; 10]).expect("partial frame");
         drop(stream);
-        // The reader thread must record the stranding failure (not abort the
-        // process), and a worker step must surface it as a catchable panic.
+        // Whoever reads the link must record the stranding failure (an empty
+        // socket that may yet deliver the rest is not one), and a worker step
+        // must surface it as a catchable panic.
         let alloc = allocs.into_iter().next().expect("one allocator");
         let deadline = Instant::now() + Duration::from_secs(10);
         while alloc.peer_failure().is_none() {
+            assert!(alloc.try_recv().is_none(), "half a frame is no envelope");
             assert!(Instant::now() < deadline, "peer failure never reported");
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -712,6 +896,21 @@ mod tests {
             .cloned()
             .unwrap_or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default());
         assert!(message.contains("mid-frame"), "unexpected panic message: {message}");
+    }
+
+    #[test]
+    fn a_write_nobody_reads_gives_up_at_its_deadline() {
+        // 32 MB for a peer that is alive and never reads: what `close` meets
+        // when the remote process hangs. The flush must return at the
+        // deadline and mark the link, not yield round the write for good.
+        let (mesh, _peer) = mesh_pair();
+        let frame = WireFrame::new(0, 0, 0, 1, 0, Slab::new(vec![0u8; 32 << 20]));
+        mesh.links[0].lock().staged.push(frame);
+        let started = Instant::now();
+        mesh.flush(Some(started + Duration::from_millis(100)));
+        assert!(started.elapsed() < Duration::from_secs(5), "the deadline did not end the write");
+        let state = mesh.links[0].lock();
+        assert!(state.write_failed && state.staged.is_empty());
     }
 
     #[test]
@@ -739,7 +938,7 @@ mod tests {
         let (allocs, guard) = cluster_allocate(&spec).expect("bootstrap failed");
         assert_eq!(allocs.len(), 2);
         assert_eq!(allocs[0].peers(), 2);
-        guard.flush();
+        guard.close();
     }
 
     #[test]
@@ -749,7 +948,7 @@ mod tests {
             let indices =
                 allocs.iter().map(|alloc| (alloc.index(), alloc.peers())).collect::<Vec<_>>();
             drop(allocs);
-            guard.flush();
+            guard.close();
             indices
         });
         assert_eq!(indices[0], vec![(0, 4), (1, 4)]);
@@ -759,7 +958,7 @@ mod tests {
     #[test]
     fn envelopes_cross_the_socket_and_decode() {
         let received = with_cluster(2, 1, |spec| {
-            let (allocs, _guard) = cluster_allocate(&spec).expect("bootstrap failed");
+            let (allocs, guard) = cluster_allocate(&spec).expect("bootstrap failed");
             let alloc = &allocs[0];
             let other = 1 - spec.process;
             // Every process sends one data envelope to the other's worker.
@@ -774,21 +973,22 @@ mod tests {
                     payload: Payload::DataBytes(Slab::new(batches.encode_to_vec())),
                 },
             );
+            alloc.flush();
             // Await the peer's envelope.
             let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
+            let envelope = loop {
                 if let Some(envelope) = alloc.try_recv() {
-                    assert_eq!(envelope.channel, 3);
-                    assert_eq!(envelope.from, other);
-                    match envelope.payload {
-                        Payload::DataBytes(bytes) => {
-                            return Vec::<(u64, Vec<u64>)>::decode_from_slice(&bytes);
-                        }
-                        other => panic!("expected wire-encoded data, got {other:?}"),
-                    }
+                    break envelope;
                 }
                 assert!(Instant::now() < deadline, "envelope never arrived");
                 std::thread::yield_now();
+            };
+            guard.close();
+            assert_eq!(envelope.channel, 3);
+            assert_eq!(envelope.from, other);
+            match envelope.payload {
+                Payload::DataBytes(bytes) => Vec::<(u64, Vec<u64>)>::decode_from_slice(&bytes),
+                other => panic!("expected wire-encoded data, got {other:?}"),
             }
         });
         assert_eq!(received[0], vec![(7, vec![11])]);
@@ -798,7 +998,7 @@ mod tests {
     #[test]
     fn per_connection_frame_order_is_preserved() {
         let received = with_cluster(2, 1, |spec| {
-            let (allocs, _guard) = cluster_allocate(&spec).expect("bootstrap failed");
+            let (allocs, guard) = cluster_allocate(&spec).expect("bootstrap failed");
             let alloc = &allocs[0];
             let other = 1 - spec.process;
             for i in 0..100usize {
@@ -813,6 +1013,7 @@ mod tests {
                     },
                 );
             }
+            alloc.flush();
             let deadline = Instant::now() + Duration::from_secs(10);
             let mut channels = Vec::new();
             while channels.len() < 100 {
@@ -823,6 +1024,7 @@ mod tests {
                     std::thread::yield_now();
                 }
             }
+            guard.close();
             channels
         });
         let expected: Vec<usize> = (0..100).collect();

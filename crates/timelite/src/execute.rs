@@ -146,10 +146,10 @@ where
         .into_iter()
         .map(|handle| handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
         .collect();
-    // Cluster mode: block until the socket writers have flushed every frame
-    // the workers queued (their final progress updates included) — a process
-    // exiting mid-flush would leave its peers' trackers waiting forever.
-    guard.flush();
+    // Cluster mode: end the connections in order — a process that exited with
+    // a peer's frames unread would reset the connection under its own final
+    // progress updates and leave that peer's tracker waiting forever.
+    guard.close();
     Ok(results)
 }
 

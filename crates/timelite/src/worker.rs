@@ -17,7 +17,9 @@
 //! data envelopes have left and its durable writes are synced. Nothing is
 //! carried from one step to the next, so a worker that stops stepping never
 //! holds anything a peer is waiting for, and a peer never waits out this
-//! worker's next step for an acknowledgement the previous one produced.
+//! worker's next step for an acknowledgement the previous one produced. For
+//! peers in other processes "left" means written: the step's last act is one
+//! write per link of everything it staged, and its first is to read them.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -38,8 +40,20 @@ const PARK_SPIN_YIELDS: usize = 32;
 /// Upper bound on one mailbox park. Envelopes end a park immediately via the
 /// channel's no-lost-wakeup protocol; the timeout only bounds how stale a
 /// `step_while` condition that depends on something other than envelopes
-/// (e.g. wall-clock pacing in the benchmark harness) can get.
+/// (e.g. wall-clock pacing in the benchmark harness) can get — and how long a
+/// frame waits in a socket for a process whose workers are all parked.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
+
+/// The first park of a worker with peers in other processes. Nothing wakes it
+/// when bytes reach a socket, so a park taken a moment too early — the peer
+/// was descheduled for longer than the spin prelude — costs its whole length,
+/// and the peer, kept waiting in turn, parks as well. Each park that ends with
+/// mailbox and sockets still empty doubles the next, up to [`PARK_TIMEOUT`]:
+/// a mistaken park costs 50 µs, genuine idleness still ends up at one wake-up
+/// a millisecond. (`timelite.progress.empty_epoch_net_us`, lock-step empty
+/// epochs across two processes: 8 µs with these slices, 17–81 µs from run to
+/// run with every park at `PARK_TIMEOUT`.)
+const FIRST_PARK_SLICE: Duration = Duration::from_micros(50);
 
 /// A type-erased executable dataflow owned by a worker.
 trait DataflowStep {
@@ -440,10 +454,10 @@ impl Worker {
     /// park when the worker reports inactivity.
     pub fn step(&mut self) -> bool {
         // A stranding remote-peer failure (connection broken mid-frame) is
-        // surfaced here as an ordinary panic: the socket reader that observed
-        // it cannot unwind the worker, and stepping on would wait forever for
-        // envelopes that cannot arrive. One `Option` check when idle — the
-        // idle fast path stays a handful of flag checks.
+        // surfaced here as an ordinary panic, on whichever worker read it and
+        // on its siblings: stepping on would wait forever for envelopes that
+        // cannot arrive. One `Option` check when idle — the idle fast path
+        // stays a handful of flag checks.
         if let Some(reason) = self.alloc.peer_failure() {
             panic!("{reason}");
         }
@@ -455,6 +469,9 @@ impl Worker {
         for dataflow in &mut self.dataflows {
             active |= dataflow.step();
         }
+        // What this step staged for other processes — its data, then its
+        // progress — leaves in one write per link.
+        self.alloc.flush();
         self.steps += 1;
         self.quiet_steps += u64::from(!active);
         active
@@ -467,6 +484,9 @@ impl Worker {
     fn idle_wait(&self, idle_streak: usize) {
         if idle_streak <= PARK_SPIN_YIELDS {
             std::thread::yield_now();
+        } else if self.alloc.has_links() {
+            let doublings = (idle_streak - PARK_SPIN_YIELDS - 1).min(8);
+            self.alloc.wait(Some((FIRST_PARK_SLICE * (1 << doublings)).min(PARK_TIMEOUT)));
         } else {
             self.alloc.wait(Some(PARK_TIMEOUT));
         }

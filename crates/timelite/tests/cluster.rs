@@ -176,3 +176,180 @@ fn byte_vector_records_cross_the_socket_byte_identical() {
         assert_eq!(seen, payloads(1 - index), "worker {index} received different bytes");
     }
 }
+
+#[test]
+fn workers_sharing_a_link_keep_each_senders_order() {
+    // Both workers of process 0 send numbered records to worker 2, one record
+    // a step, stepping at the same time: whichever of them writes the link,
+    // each one's records must arrive in the order it sent them.
+    const RECORDS: u64 = 2_000;
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let received = cluster_execute(2, 2, move |worker| {
+        let index = worker.index() as u64;
+        let (mut input, probe, seen) = worker.dataflow::<u64, _, _>(|scope| {
+            let (input, stream) = scope.new_input::<(u64, u64)>();
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let seen_inner = seen.clone();
+            let probe = stream
+                .exchange(|_| 2)
+                .inspect(move |_t, record| seen_inner.borrow_mut().push(*record))
+                .probe();
+            (input, probe, seen)
+        });
+        if index < 2 {
+            start.wait();
+            for number in 0..RECORDS {
+                input.send((index, number));
+                input.flush();
+                worker.step();
+            }
+        }
+        input.advance_to(1);
+        worker.step_while(|| probe.less_than(&1));
+        drop(input);
+        worker.step_until_complete();
+        let seen = seen.borrow().clone();
+        seen
+    });
+    let expected: Vec<u64> = (0..RECORDS).collect();
+    for sender in 0..2u64 {
+        let numbers: Vec<u64> = received[2]
+            .iter()
+            .filter(|(from, _)| *from == sender)
+            .map(|(_, number)| *number)
+            .collect();
+        assert_eq!(numbers, expected, "worker {sender}'s records arrived out of order");
+    }
+}
+
+/// Every process stages 16 MB for the next one round the ring before any of
+/// them reads a byte. No thread reads while a worker writes, so a worker
+/// whose write would block has to read instead — or all sit in `write`
+/// forever.
+fn write_16_mb_round_a_ring_of(processes: usize) {
+    const CHUNKS: u64 = 16;
+    const CHUNK_BYTES: usize = 1 << 20;
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let received = cluster_execute(processes, 1, |worker| {
+            let next = (worker.index() as u64 + 1) % worker.peers() as u64;
+            let (mut input, probe, seen) = worker.dataflow::<u64, _, _>(|scope| {
+                let (input, stream) = scope.new_input::<(u64, Vec<u8>)>();
+                let seen = Rc::new(RefCell::new(0usize));
+                let seen_inner = seen.clone();
+                let probe = stream
+                    .exchange(|record| record.0)
+                    .inspect(move |_t, record| *seen_inner.borrow_mut() += record.1.len())
+                    .probe();
+                (input, probe, seen)
+            });
+            for chunk in 0..CHUNKS {
+                input.send((next, vec![chunk as u8; CHUNK_BYTES]));
+            }
+            input.advance_to(1);
+            worker.step_while(|| probe.less_than(&1));
+            drop(input);
+            worker.step_until_complete();
+            let seen = *seen.borrow();
+            seen
+        });
+        let _ = done.send(received);
+    });
+    let received = finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("processes writing at each other never finished");
+    assert_eq!(received, vec![CHUNKS as usize * CHUNK_BYTES; processes]);
+}
+
+#[test]
+fn processes_writing_more_than_the_sockets_hold_at_each_other_both_finish() {
+    // The bytes a blocked writer must read are on the link it is writing.
+    write_16_mb_round_a_ring_of(2);
+}
+
+#[test]
+fn processes_writing_more_than_the_sockets_hold_round_a_cycle_all_finish() {
+    // A → B → C → A: the process that would unblock a writer is itself blocked
+    // writing a *different* link, so a blocked writer has to read all of its
+    // links, not only the one it holds.
+    write_16_mb_round_a_ring_of(3);
+}
+
+#[test]
+fn a_parked_worker_sees_a_frame_within_the_park_timeout() {
+    // Worker 1 waits in `step_while` for an epoch worker 0 closes only after
+    // 100 ms, long enough for its parks to reach their full length (1 ms).
+    // Nothing wakes it when the frame reaches its socket; it must come back
+    // to read by itself. Three rounds, and the quickest counts: the bound is
+    // on the mechanism, not on what else the machine is running.
+    let written = Arc::new(std::sync::Mutex::new(std::time::Instant::now()));
+    let latencies = cluster_execute(2, 1, move |worker| {
+        let index = worker.index();
+        let stamp = Arc::clone(&written);
+        let (mut input, probe, seen) = worker.dataflow::<u64, _, _>(|scope| {
+            let (input, stream) = scope.new_input::<u64>();
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let seen_inner = seen.clone();
+            let probe = stream
+                .exchange(|_| 1)
+                .inspect(move |_t, _record| {
+                    seen_inner.borrow_mut().push(stamp.lock().expect("stamp").elapsed())
+                })
+                .probe();
+            (input, probe, seen)
+        });
+        for round in 1..=3u64 {
+            if index == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+                *written.lock().expect("stamp") = std::time::Instant::now();
+                input.send(round);
+            }
+            input.advance_to(round);
+            worker.step_while(|| probe.less_than(&round));
+        }
+        drop(input);
+        worker.step_until_complete();
+        let seen = seen.borrow().clone();
+        seen
+    });
+    assert_eq!(latencies[1].len(), 3, "one record a round");
+    let quickest = latencies[1].iter().min().expect("three rounds");
+    assert!(
+        *quickest < std::time::Duration::from_millis(5),
+        "a parked worker took {latencies:?} to see a frame"
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn no_thread_but_the_workers_touches_a_socket() {
+    let names = cluster_execute(2, 1, |worker| {
+        let (mut input, probe) = worker.dataflow::<u64, _, _>(|scope| {
+            let (input, stream) = scope.new_input::<u64>();
+            (input, stream.exchange(|x| *x).probe())
+        });
+        input.send(worker.index() as u64);
+        input.advance_to(1);
+        worker.step_while(|| probe.less_than(&1));
+        // Records and progress have crossed the socket both ways: whatever
+        // threads the transport runs exist now.
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("thread list")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim().to_string())
+            .collect();
+        drop(input);
+        worker.step_until_complete();
+        names
+    });
+    for names in names {
+        assert!(
+            names.iter().any(|name| name.starts_with("timelite-worker")),
+            "the thread list must be this process's: {names:?}"
+        );
+        assert!(
+            !names.iter().any(|name| name.starts_with("timelite-net")),
+            "a transport thread is running: {names:?}"
+        );
+    }
+}

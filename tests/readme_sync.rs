@@ -228,9 +228,17 @@ fn readme_documents_cluster_mode() {
         "tests/cluster_equivalence.rs",
         "cluster_run",
         "cluster-smoke",
+        "The worker owns its sockets",
+        "no writer thread, no reader thread",
+        "half-closes every link",
     ] {
         assert!(readme.contains(needle), "Cluster mode section lost `{needle}`");
     }
+    let net = read("crates/timelite/src/communication/net.rs");
+    assert!(
+        net.contains("pub struct Mesh") && !net.contains("thread::Builder"),
+        "README says the workers drive the links themselves — update this test and README"
+    );
     let execute = read("crates/timelite/src/execute.rs");
     assert!(
         execute.contains("Cluster {"),
@@ -296,7 +304,7 @@ fn readme_documents_the_data_plane() {
         "Lock-free mailboxes",
         "timelite::codec::Slab",
         "Arc<Vec<u8>>",
-        "WRITER_BATCH_FRAMES",
+        "WRITE_WINDOW_FRAMES",
         "MAX_READ_REGION_BYTES",
         "broadcast_encodes_each_record_exactly_once",
         "Vyukov",
@@ -314,8 +322,8 @@ fn readme_documents_the_data_plane() {
     );
     let net = read("crates/timelite/src/communication/net.rs");
     assert!(
-        net.contains("WRITER_BATCH_FRAMES") && net.contains("MAX_READ_REGION_BYTES"),
-        "the scatter writer / slab-region reader constants vanished from net.rs"
+        net.contains("WRITE_WINDOW_FRAMES") && net.contains("MAX_READ_REGION_BYTES"),
+        "the scatter write / slab-region read constants vanished from net.rs"
     );
     let channel = read("vendor/crossbeam-channel/src/lib.rs");
     assert!(
