@@ -16,6 +16,9 @@
 //! overlap, about two folds when a worker's "consumed" acknowledgement waits
 //! out its own fold before the peer may start (a yield-spinning loop hides the
 //! difference, which is why `multi_tenant_steady` and `saturation` never saw it).
+//! The wake-ups are mailbox hand-offs — the idle `step()` after an active one
+//! waits on the mailbox for the reply — not the loop's 50 µs sleeps (0.14 ms
+//! against 0.30 ms an epoch).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -718,3 +718,32 @@ fn either_rejects_an_unknown_tag() {
     let message = panic_message(|| drop(Either::<u64, String>::decode_from_slice(&bytes)));
     assert_eq!(message, "corrupt Either: tag byte 255 is neither 0 (Left) nor 1 (Right)");
 }
+
+/// Tag bytes `Option` and `bool` never write are refused, not read as `Some`
+/// and `true` — including a fragment's `last` flag, which decides when S
+/// installs a bin.
+#[test]
+fn option_and_bool_reject_unknown_tags() {
+    use megaphone::StateFragment;
+
+    for tag in [2u8, 0x80, 0xff] {
+        let mut bytes = Some("s".to_string()).encode_to_vec();
+        bytes[0] = tag;
+        let message = panic_message(|| drop(Option::<String>::decode_from_slice(&bytes)));
+        assert_eq!(message, format!("corrupt Option: tag byte {tag} is neither 0 (None) nor 1 (Some)"));
+
+        let message = panic_message(|| {
+            let _ = bool::decode_from_slice(&[tag]);
+        });
+        assert_eq!(message, format!("corrupt bool: tag byte {tag} is neither 0 (false) nor 1 (true)"));
+
+        let mut bytes = StateFragment { bin: 3, bytes: vec![1, 2], last: true }.encode_to_vec();
+        *bytes.last_mut().expect("the last flag") = tag;
+        let message = panic_message(|| drop(StateFragment::decode_from_slice(&bytes)));
+        assert!(message.starts_with(&format!("corrupt bool: tag byte {tag} ")), "{message:?}");
+    }
+    // The bytes they do write still read back.
+    assert_eq!(Option::<u64>::decode_from_slice(&[0]), None);
+    assert_eq!(Option::<u64>::decode_from_slice(&Some(7u64).encode_to_vec()), Some(7));
+    assert!(!bool::decode_from_slice(&[0]) && bool::decode_from_slice(&[1]));
+}

@@ -316,7 +316,11 @@ impl Codec for bool {
         bytes.push(u8::from(*self));
     }
     fn decode(bytes: &mut &[u8]) -> Self {
-        take(bytes, 1)[0] != 0
+        match take(bytes, 1)[0] {
+            0 => false,
+            1 => true,
+            tag => panic!("corrupt bool: tag byte {tag} is neither 0 (false) nor 1 (true)"),
+        }
     }
 }
 
@@ -359,7 +363,8 @@ impl<T: Codec> Codec for Option<T> {
     fn decode(bytes: &mut &[u8]) -> Self {
         match take(bytes, 1)[0] {
             0 => None,
-            _ => Some(T::decode(bytes)),
+            1 => Some(T::decode(bytes)),
+            tag => panic!("corrupt Option: tag byte {tag} is neither 0 (None) nor 1 (Some)"),
         }
     }
 }

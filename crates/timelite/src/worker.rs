@@ -20,6 +20,15 @@
 //! worker's next step for an acknowledgement the previous one produced. For
 //! peers in other processes "left" means written: the step's last act is one
 //! write per link of everything it staged, and its first is to read them.
+//!
+//! A reply is waited for on the mailbox, not on the caller's timer: a
+//! [`Worker::step`] whose round finds nothing to do right after an active one
+//! — the moment a peer in this process most often owes it an acknowledgement
+//! or a frontier — parks on its mailbox for at most `FIRST_PARK_SLICE`, and
+//! runs one more round if an envelope lands. Both sides of a round trip do
+//! this, so a peer's push ends the wait at once instead of a driver's sleep.
+//! Alone, or with peers in other processes (whose bytes reach a socket, which
+//! cannot end a park), a step never parks; `step_while` keeps its own policy.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -53,6 +62,11 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 /// a millisecond. (`timelite.progress.empty_epoch_net_us`, lock-step empty
 /// epochs across two processes: 8 µs with these slices, 17–81 µs from run to
 /// run with every park at `PARK_TIMEOUT`.)
+///
+/// It is also the longest [`Worker::step`] parks after an active round when
+/// every peer is in this process (see the module docs): long enough to cover
+/// a peer's reply, short enough that a caller whose work is not in the
+/// mailbox — an input to feed, a deadline — loses at most one slice to it.
 const FIRST_PARK_SLICE: Duration = Duration::from_micros(50);
 
 /// A type-erased executable dataflow owned by a worker.
@@ -387,16 +401,25 @@ pub struct Worker {
     dataflows: Vec<Box<dyn DataflowStep>>,
     /// Envelopes received for dataflows this worker has not yet constructed.
     stashed: Vec<Envelope>,
-    /// Steps taken since construction.
+    /// Rounds run since construction.
     steps: u64,
-    /// Steps that found nothing to do (parked-loop candidates).
+    /// Rounds that found nothing to do (parked-loop candidates).
     quiet_steps: u64,
+    /// Whether the last round did anything: an idle `step` parks only then.
+    last_round_active: bool,
 }
 
 impl Worker {
     /// Creates a worker around its communication endpoint.
     pub fn new(alloc: Allocator) -> Self {
-        Worker { alloc, dataflows: Vec::new(), stashed: Vec::new(), steps: 0, quiet_steps: 0 }
+        Worker {
+            alloc,
+            dataflows: Vec::new(),
+            stashed: Vec::new(),
+            steps: 0,
+            quiet_steps: 0,
+            last_round_active: false,
+        }
     }
 
     /// This worker's index.
@@ -452,7 +475,25 @@ impl Worker {
     /// Returns `true` if the worker made progress (received messages, ran
     /// activated operators, or changed progress state); callers may yield or
     /// park when the worker reports inactivity.
+    ///
+    /// When that round finds nothing to do right after one that did, and
+    /// every peer lives in this process, the step first waits up to
+    /// `FIRST_PARK_SLICE` (50 µs) on the mailbox for the peer's reply; if
+    /// an envelope lands it runs one more round and returns that round's
+    /// activity. A single worker, or one with peers in other processes, never
+    /// waits here.
     pub fn step(&mut self) -> bool {
+        let after_active = self.last_round_active;
+        let active = self.round();
+        if active || !after_active || self.peers() == 1 || self.alloc.has_links() {
+            return active;
+        }
+        self.alloc.wait(Some(FIRST_PARK_SLICE)) && self.round()
+    }
+
+    /// One round of [`step`](Worker::step): receive, run the dataflows, write
+    /// what was staged for other processes.
+    fn round(&mut self) -> bool {
         // A stranding remote-peer failure (connection broken mid-frame) is
         // surfaced here as an ordinary panic, on whichever worker read it and
         // on its siblings: stepping on would wait forever for envelopes that
@@ -474,6 +515,7 @@ impl Worker {
         self.alloc.flush();
         self.steps += 1;
         self.quiet_steps += u64::from(!active);
+        self.last_round_active = active;
         active
     }
 
@@ -494,11 +536,12 @@ impl Worker {
 
     /// Steps the worker while `condition` returns `true`; an idle worker
     /// parks on its mailbox (after a capped spin prelude) instead of
-    /// busy-yielding.
+    /// busy-yielding. The rounds run back to back: the prelude, not
+    /// [`step`](Worker::step)'s wait for a reply, covers a peer's turnaround.
     pub fn step_while(&mut self, mut condition: impl FnMut() -> bool) {
         let mut idle_streak = 0usize;
         while condition() {
-            if self.step() {
+            if self.round() {
                 idle_streak = 0;
             } else {
                 idle_streak += 1;
@@ -513,8 +556,9 @@ impl Worker {
         self.dataflows.iter().all(|dataflow| dataflow.complete())
     }
 
-    /// `(steps, quiet_steps)` taken since construction: how often this worker
-    /// stepped, and how many of those steps found nothing to do. Monitoring
+    /// `(steps, quiet_steps)` taken since construction: how many scheduling
+    /// rounds this worker ran (a [`step`](Worker::step) that waited for a
+    /// reply and got one runs two), and how many found nothing to do. Monitoring
     /// endpoints export the pair as a scheduler-load summary; the counters are
     /// two plain increments on the step path.
     pub fn step_counts(&self) -> (u64, u64) {
@@ -540,7 +584,7 @@ impl Worker {
     pub fn step_until_complete(&mut self) {
         let mut idle_streak = 0usize;
         while !self.dataflows_complete() {
-            if self.step() {
+            if self.round() {
                 idle_streak = 0;
             } else {
                 idle_streak += 1;
@@ -553,7 +597,10 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::communication::allocate;
+    use crate::communication::net::tests::mesh_pair;
+    use crate::communication::{allocate, WorkerSender};
+    use crate::dataflow::InputHandle;
+    use std::time::Instant;
 
     /// Local-peer progress fanout shares one allocation: every same-process
     /// peer receives the *same* `Arc<ProgressUpdates>` (pointer-equal), not a
@@ -566,11 +613,7 @@ mod tests {
         let peer1 = allocs.pop().expect("three allocators");
         let mut worker = Worker::new(allocs.pop().expect("three allocators"));
 
-        let mut input = worker.dataflow::<u64, _, _>(|scope| {
-            let (input, stream) = scope.new_input::<u64>();
-            stream.probe();
-            input
-        });
+        let mut input = input_to_probe(&mut worker);
         input.send(7);
         input.advance_to(1);
         // Step until the initial activity settles; every progress envelope
@@ -680,5 +723,102 @@ mod tests {
             worker.step();
             peer.step();
         }
+    }
+
+    /// Input → probe: every `advance_to` makes the next step active.
+    fn input_to_probe(worker: &mut Worker) -> InputHandle<u64, u64> {
+        worker.dataflow::<u64, _, _>(|scope| {
+            let (input, stream) = scope.new_input::<u64>();
+            stream.probe();
+            input
+        })
+    }
+
+    /// Steps `worker` until a step finds nothing to do; returns how long that
+    /// idle step took.
+    fn time_first_idle_step(worker: &mut Worker) -> Duration {
+        loop {
+            let started = Instant::now();
+            if !worker.step() {
+                return started.elapsed();
+            }
+        }
+    }
+
+    /// Step pairs per timing test: parking on every one would take
+    /// `PAIRS` × `FIRST_PARK_SLICE`, half a second.
+    const PAIRS: u32 = 10_000;
+
+    /// Alone there is no reply to wait for: an idle step after an active one
+    /// returns at once.
+    #[test]
+    fn a_single_worker_never_parks_in_step() {
+        let mut worker = Worker::new(allocate(1).pop().expect("one allocator"));
+        let mut input = input_to_probe(&mut worker);
+        while worker.step() {}
+        let mut idle = Duration::ZERO;
+        for time in 1..=u64::from(PAIRS) {
+            input.advance_to(time);
+            idle += time_first_idle_step(&mut worker);
+        }
+        assert!(idle < FIRST_PARK_SLICE * PAIRS / 2, "{PAIRS} idle-after-active steps took {idle:?}");
+    }
+
+    /// Only the first idle step after an active one waits: a settled worker
+    /// with an in-process peer steps idle without parking.
+    #[test]
+    fn an_idle_step_after_an_idle_step_never_parks() {
+        let mut allocs = allocate(2);
+        let mut peer = Worker::new(allocs.pop().expect("two allocators"));
+        let mut worker = Worker::new(allocs.pop().expect("two allocators"));
+        let _inputs = (input_to_probe(&mut worker), input_to_probe(&mut peer));
+        while worker.step() | peer.step() {}
+        let started = Instant::now();
+        for _ in 0..PAIRS {
+            assert!(!worker.step(), "a settled worker is idle");
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < FIRST_PARK_SLICE * PAIRS / 4, "{PAIRS} idle steps took {elapsed:?}");
+    }
+
+    /// With an in-process peer that never answers (it is never stepped), the
+    /// idle step after an active one waits out one `FIRST_PARK_SLICE` on the
+    /// mailbox, then reports nothing done.
+    #[test]
+    fn an_idle_step_after_an_active_one_waits_one_slice_for_a_silent_peer() {
+        let mut allocs = allocate(2);
+        let mut peer = Worker::new(allocs.pop().expect("two allocators"));
+        let mut worker = Worker::new(allocs.pop().expect("two allocators"));
+        let mut input = input_to_probe(&mut worker);
+        let _peer_input = input_to_probe(&mut peer);
+        while worker.step() {}
+        input.advance_to(1);
+        let waited = time_first_idle_step(&mut worker);
+        assert!(
+            waited >= FIRST_PARK_SLICE && waited < FIRST_PARK_SLICE + Duration::from_millis(50),
+            "the idle step after an active one took {waited:?}"
+        );
+    }
+
+    /// Bytes reaching a socket cannot end a mailbox park, so a worker with
+    /// peers in other processes never parks inside `step`.
+    #[test]
+    fn a_worker_with_links_never_parks_in_step() {
+        let (mesh, _peer) = mesh_pair();
+        let (to_self, mailbox) = crossbeam_channel::unbounded();
+        let remote = WorkerSender::Remote { to: 1, mesh: Arc::clone(&mesh), link: 0 };
+        let alloc = Allocator::from_parts(0, 2, vec![WorkerSender::Local(to_self), remote], mailbox);
+        let mut worker = Worker::new(alloc.with_mesh(mesh));
+        let mut input = input_to_probe(&mut worker);
+        while worker.step() {}
+        // Each pair writes one progress frame the peer never reads: keep
+        // them well inside the socket buffers.
+        let pairs = PAIRS / 10;
+        let mut idle = Duration::ZERO;
+        for time in 1..=u64::from(pairs) {
+            input.advance_to(time);
+            idle += time_first_idle_step(&mut worker);
+        }
+        assert!(idle < FIRST_PARK_SLICE * pairs / 2, "{pairs} idle-after-active steps took {idle:?}");
     }
 }

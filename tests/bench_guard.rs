@@ -213,9 +213,10 @@ fn stateful_overhead_is_in_the_tracked_set() {
     // bin's pending reminders on every call: `stateful_unary_timers` (2 k
     // resident far-future reminders per bin) ran 13 ms without it, 99 ms with.
     // `two_worker_fold_overlap` is one epoch's round trip with a 100 µs fold a
-    // worker: 0.30 ms with the folds side by side. Taking turns again costs
-    // one more fold (0.40–0.48 ms, under the 2x gate: that order is pinned
-    // exactly by `timelite/tests/progress.rs`); the gate is for anything worse.
+    // worker: 0.14 ms with the folds side by side and each reply waited for
+    // on the mailbox (0.30 ms when a reply waited out the loop's 50 µs sleep).
+    // Taking turns again costs one more fold (that order is pinned exactly by
+    // `timelite/tests/progress.rs`); the gate is for anything worse.
     let dir = temp_dir("overhead");
     let previous = write_csv(
         &dir,

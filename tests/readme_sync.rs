@@ -466,6 +466,7 @@ fn readme_documents_scheduling() {
         "Arc<ProgressUpdates>",
         "local_progress_fanout_shares_one_arc",
         "progress_leaves_with_the_step_that_harvested_it",
+        "an_idle_step_after_an_active_one_waits_one_slice_for_a_silent_peer",
         "two_worker_fold_overlap",
         "tests/progress.rs",
         "seeded_park_wake_stress_loses_no_wakeups",
@@ -480,10 +481,12 @@ fn readme_documents_scheduling() {
         "the activation types vanished from timelite::schedule — update this test and README"
     );
     let worker = read("crates/timelite/src/worker.rs");
-    assert!(
-        worker.contains("fn progress_leaves_with_the_step_that_harvested_it"),
-        "the test README names for the progress-sharing rule vanished from timelite::worker"
-    );
+    for test in [
+        "fn progress_leaves_with_the_step_that_harvested_it",
+        "fn an_idle_step_after_an_active_one_waits_one_slice_for_a_silent_peer",
+    ] {
+        assert!(worker.contains(test), "`{test}`, named by README, vanished from timelite::worker");
+    }
     let channel = read("vendor/crossbeam-channel/src/lib.rs");
     assert!(
         channel.contains("seeded_park_wake_stress_loses_no_wakeups"),
