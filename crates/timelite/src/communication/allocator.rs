@@ -21,6 +21,7 @@
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 
@@ -198,32 +199,40 @@ pub fn encode_frame(envelope: &Envelope, to: usize) -> WireFrame {
 }
 
 /// Rebuilds `(envelope, to)` from a frame's fixed header and its payload
-/// slab slice (no copy). The payload stays encoded ([`Payload::DataBytes`] /
+/// slab slice (no copy), or `None` if the header's kind byte is neither data
+/// nor progress. The payload stays encoded ([`Payload::DataBytes`] /
 /// [`Payload::ProgressBytes`]): only the destination channel knows the
 /// concrete types to decode it into.
-pub fn decode_frame_parts(header: &[u8; FRAME_HEADER_BYTES], payload: Slab) -> (Envelope, usize) {
+pub fn decode_frame_parts(
+    header: &[u8; FRAME_HEADER_BYTES],
+    payload: Slab,
+) -> Option<(Envelope, usize)> {
     let mut bytes = &header[..];
     let dataflow = u64::decode(&mut bytes) as usize;
     let channel = u64::decode(&mut bytes) as usize;
     let from = u64::decode(&mut bytes) as usize;
     let to = u64::decode(&mut bytes) as usize;
-    let kind = u8::decode(&mut bytes);
-    let payload = match kind {
+    let payload = match u8::decode(&mut bytes) {
         KIND_DATA => Payload::DataBytes(payload),
         KIND_PROGRESS => Payload::ProgressBytes(payload),
-        other => panic!("invalid frame kind {other}"),
+        _ => return None,
     };
-    (Envelope { dataflow, channel, from, payload }, to)
+    Some((Envelope { dataflow, channel, from, payload }, to))
 }
 
 /// Deserializes one frame body (everything after the `[len u64]` prefix) back
 /// into `(envelope, to)`. Convenience for tests and inspection; a link
 /// slices payloads out of its read region via [`decode_frame_parts`]
 /// instead of copying them out of a contiguous frame.
+///
+/// # Panics
+///
+/// If the frame is shorter than its header or its kind byte is invalid.
 pub fn decode_frame(frame: &[u8]) -> (Envelope, usize) {
     let header: [u8; FRAME_HEADER_BYTES] =
         frame[..FRAME_HEADER_BYTES].try_into().expect("frame shorter than its header");
     decode_frame_parts(&header, Slab::new(frame[FRAME_HEADER_BYTES..].to_vec()))
+        .expect("invalid frame kind")
 }
 
 /// A sender handle to one worker's mailbox: an in-memory channel for a worker
@@ -321,10 +330,14 @@ impl Allocator {
         self.senders.clone()
     }
 
-    /// Whether any peer lives in another process: nothing wakes a worker
-    /// parked on its mailbox when bytes reach one of its sockets.
-    pub(crate) fn has_links(&self) -> bool {
-        self.mesh.is_some()
+    /// Whether [`wait`](Allocator::wait) ends as soon as anything reaches this
+    /// worker: true with no links (every sender pushes into the mailbox) and
+    /// for the only worker of its process on Linux (it waits on its sockets as
+    /// well, and only its own reads fill its mailbox). False for a worker with
+    /// both siblings and links: it parks on the mailbox, and bytes reaching a
+    /// socket while every worker of the process is parked wake nobody.
+    pub(crate) fn wait_sees_every_sender(&self) -> bool {
+        self.mesh.as_deref().is_none_or(Mesh::can_wait_on_links)
     }
 
     /// Writes every frame staged on this process's links — by this worker or a
@@ -357,22 +370,51 @@ impl Allocator {
         self.receiver.try_iter()
     }
 
-    /// Parks the calling worker thread on its mailbox's eventcount until an
-    /// envelope is available (or `timeout` elapses; `None` waits
-    /// indefinitely). Returns whether the mailbox had something to receive.
+    /// Blocks the calling worker thread until an envelope is available (or
+    /// `timeout` elapses; `None` waits indefinitely). Returns whether the
+    /// mailbox had something to receive. This is how an idle worker burns
+    /// ~0 CPU instead of spin-yielding, in one of three ways:
     ///
-    /// This is how an idle worker burns ~0 CPU instead of spin-yielding: every
-    /// path that can create work for a parked worker — a peer's data envelope,
-    /// a progress broadcast, a frame a sibling worker read off a link — lands
-    /// in this mailbox, and the channel's no-lost-wakeup protocol guarantees a
-    /// send during the park transition is observed. Bytes that reach a socket
-    /// while every worker of the process is parked wake nobody: the sockets
-    /// are read before parking, and a caller with links keeps `timeout` short.
-    pub fn wait(&self, timeout: Option<std::time::Duration>) -> bool {
-        if let Some(mesh) = &self.mesh {
-            mesh.poll();
+    /// * **No links:** it parks on the mailbox's eventcount. Every path that
+    ///   can create work for it — a peer's data envelope, a progress
+    ///   broadcast — lands in the mailbox, and the channel's no-lost-wakeup
+    ///   protocol guarantees a send during the park transition is observed.
+    /// * **Links, and no sibling** (Linux): it blocks in `ppoll(2)` on the
+    ///   link sockets and routes whatever arrives, until an envelope is in
+    ///   the mailbox; a wake that brings part of a frame blocks again. The
+    ///   mailbox of a process's only worker is filled by its own sends, which
+    ///   it made before waiting, and by the frames it reads itself, so this
+    ///   misses nothing. A link whose peer has closed is left out: its socket
+    ///   would report end-of-stream on every call.
+    /// * **Links and siblings:** it reads the sockets, then parks on the
+    ///   mailbox, where a frame a sibling read off a link wakes it. Bytes
+    ///   that reach a socket while every worker of the process is parked wake
+    ///   nobody, so a caller keeps `timeout` short.
+    pub fn wait(&self, timeout: Option<Duration>) -> bool {
+        match &self.mesh {
+            None => self.receiver.wait(timeout),
+            Some(mesh) if mesh.can_wait_on_links() => self.wait_on_links(mesh, timeout),
+            Some(mesh) => {
+                mesh.poll();
+                self.receiver.wait(timeout)
+            }
         }
-        self.receiver.wait(timeout)
+    }
+
+    /// The wait of a process's only worker (see [`wait`](Allocator::wait)).
+    fn wait_on_links(&self, mesh: &Mesh, timeout: Option<Duration>) -> bool {
+        let deadline = timeout.map(|timeout| Instant::now() + timeout);
+        loop {
+            mesh.poll();
+            if self.receiver.is_ready() {
+                return true;
+            }
+            let left = deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                return false;
+            }
+            mesh.await_bytes(left);
+        }
     }
 }
 

@@ -36,8 +36,11 @@
 //!   which they push into the destination worker's local mailbox — their own,
 //!   or a sibling's, which wakes it. A write that would block reads instead,
 //!   so the socket buffers are both the bound on what is in flight and the
-//!   back-pressure; an idle worker, which nothing wakes when bytes reach a
-//!   socket, parks in short slices and reads between them.
+//!   back-pressure. An idle worker that is its process's only one waits on
+//!   the sockets themselves (`Mesh::await_bytes`, `ppoll(2)`), so the
+//!   peer's bytes end its wait; one with siblings parks on its mailbox,
+//!   which nothing wakes when bytes reach a socket, in short slices, and
+//!   reads between them.
 //! * **Shutdown** ([`ClusterGuard::close`]): once its workers are done a
 //!   process half-closes every link and reads each to end-of-stream, so that
 //!   no connection is reset under frames a peer has yet to read.
@@ -438,7 +441,9 @@ impl LinkReader {
                 region[pos + 8..pos + FRAME_PREFIX_BYTES].try_into().expect("header bytes");
             let payload = region.slice(pos + FRAME_PREFIX_BYTES..pos + 8 + len);
             pos += 8 + len;
-            let (envelope, to) = decode_frame_parts(&header, payload);
+            let Some((envelope, to)) = decode_frame_parts(&header, payload) else {
+                return Err("unknown frame kind");
+            };
             if !route(envelope, to) {
                 return Err("frame routed to a worker this process does not host");
             }
@@ -530,6 +535,60 @@ impl Link {
     }
 }
 
+/// `ppoll(2)`, the one system call the links need that `std` does not wrap:
+/// a wait on several sockets at once, with a timeout finer than `poll(2)`'s
+/// millisecond.
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
+    use std::time::Duration;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        pub(super) fd: c_int,
+        pub(super) events: c_short,
+        pub(super) revents: c_short,
+    }
+
+    /// `struct timespec`.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+
+    /// `POLLIN`: there are bytes to read. End-of-stream and errors are
+    /// reported whatever is asked for.
+    pub(super) const POLLIN: c_short = 0x001;
+
+    unsafe extern "C" {
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
+        ) -> c_int;
+    }
+
+    /// Blocks until one of `fds` is readable, a signal arrives or `timeout`
+    /// passes (`None`: no timeout). An fd of -1 is ignored. The result is
+    /// not reported: the caller reads its sockets after any wake, and an
+    /// interrupted call is a wake like any other.
+    pub(super) fn await_readable(fds: &mut [PollFd], timeout: Option<Duration>) {
+        let timeout = timeout.map(|timeout| Timespec {
+            tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        });
+        let timeout = timeout.as_ref().map_or(std::ptr::null(), |timeout| timeout as *const _);
+        // SAFETY: `fds` is a live, exclusively borrowed slice of `pollfd`s of
+        // the length passed, of which the kernel writes only `revents`;
+        // `timeout` is null or points at a `timespec` that outlives the call;
+        // a null signal mask leaves the thread's mask as it is.
+        unsafe { ppoll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout, std::ptr::null()) };
+    }
+}
+
 /// A process's links, one per remote process, driven by its workers
 /// themselves: [`send_to`](super::send_to) stages frames on a link, a worker's
 /// step ends by writing what is staged, and a worker reads the links before
@@ -599,6 +658,43 @@ impl Mesh {
             }
         }
         any
+    }
+
+    /// Whether this process's worker waits on the links' sockets
+    /// ([`await_bytes`](Mesh::await_bytes)): the process hosts one worker,
+    /// and the platform is Linux. That worker's mailbox is filled by its own
+    /// sends and by the frames it reads off the links itself, so a wait on
+    /// the sockets sees every sender.
+    pub(crate) fn can_wait_on_links(&self) -> bool {
+        cfg!(target_os = "linux") && self.mailboxes.len() == 1
+    }
+
+    /// Blocks until bytes — or end-of-stream, or an error — reach a link
+    /// whose peer has not closed, a signal arrives or `timeout` passes
+    /// (`None`: no timeout). Reads nothing: the caller polls after any wake.
+    /// A closed link is left out, since its socket would report
+    /// end-of-stream at once on every call and turn a wait into a spin.
+    /// Call only when [`can_wait_on_links`](Mesh::can_wait_on_links).
+    pub(crate) fn await_bytes(&self, timeout: Option<Duration>) {
+        #[cfg(target_os = "linux")]
+        {
+            use std::os::fd::AsRawFd;
+            let mut fds: Vec<sys::PollFd> = self
+                .links
+                .iter()
+                .map(|link| sys::PollFd {
+                    fd: if link.lock().reader.closed { -1 } else { link.stream.as_raw_fd() },
+                    events: sys::POLLIN,
+                    revents: 0,
+                })
+                .collect();
+            sys::await_readable(&mut fds, timeout);
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = timeout;
+            unreachable!("only a process's only worker on Linux waits on its links");
+        }
     }
 
     /// Reads and routes without blocking; reports a stranding failure on the
@@ -725,8 +821,15 @@ pub fn cluster_allocate(spec: &ClusterSpec) -> io::Result<(Vec<Allocator>, Clust
 
     // Rendezvous: exactly one socket per unordered process pair (lower index
     // accepts, higher index dials), finished by a barrier on every socket.
-    let streams = connect_mesh(spec, &listener)?;
+    assemble(spec, connect_mesh(spec, &listener)?)
+}
 
+/// Builds this process's links and allocators over its connected sockets,
+/// one per process (`None` for this one).
+fn assemble(
+    spec: &ClusterSpec,
+    streams: Vec<Option<TcpStream>>,
+) -> io::Result<(Vec<Allocator>, ClusterGuard)> {
     // Local mailboxes, one per local worker.
     let (mailbox_txs, mailbox_rxs): (Vec<_>, Vec<_>) =
         (0..spec.workers_per_process).map(|_| unbounded()).unzip();
@@ -772,20 +875,40 @@ pub(crate) mod tests {
     use crate::codec::Codec;
     use crate::communication::{send_to, Payload};
 
-    /// Two single-link meshes over one loopback connection, with no mailboxes
-    /// behind them: what [`send_to`](crate::communication::send_to) stages on
-    /// one stays there for [`take_staged`] to inspect.
-    pub(crate) fn mesh_pair() -> (Arc<Mesh>, Arc<Mesh>) {
+    /// Two processes of `workers` workers each over one loopback connection,
+    /// assembled as [`cluster_allocate`] does but without its bootstrap: what
+    /// it returns in process 0 and in process 1.
+    pub(crate) fn process_pair(workers: usize) -> [(Vec<Allocator>, ClusterGuard); 2] {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind failed");
         let address = listener.local_addr().expect("local addr");
         let dialed = TcpStream::connect(address).expect("connect");
         let (accepted, _) = listener.accept().expect("accept");
-        let mesh = |stream| {
-            let links = vec![Link::new(stream).expect("non-blocking socket")];
-            let (mailboxes, status) = (Vec::new(), PeerStatus::default());
-            Arc::new(Mesh { first_worker: 0, mailboxes, status, links })
+        let process = |process, stream: TcpStream| {
+            stream.set_nodelay(true).expect("nodelay");
+            let mut streams = vec![None, None];
+            streams[1 - process] = Some(stream);
+            let addresses = vec![String::new(); 2];
+            let spec = ClusterSpec { process, workers_per_process: workers, addresses };
+            assemble(&spec, streams).expect("non-blocking sockets")
         };
-        (mesh(dialed), mesh(accepted))
+        [process(0, accepted), process(1, dialed)]
+    }
+
+    /// Two single-link meshes over one loopback connection, each the mesh of
+    /// a process whose one worker is gone: what
+    /// [`send_to`](crate::communication::send_to) stages on one stays there
+    /// for [`take_staged`] to inspect.
+    pub(crate) fn mesh_pair() -> (Arc<Mesh>, Arc<Mesh>) {
+        let [(_, near), (_, far)] = process_pair(1);
+        (near.mesh.expect("links"), far.mesh.expect("links"))
+    }
+
+    /// The message a caught panic carries.
+    fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+        match panic.downcast::<String>() {
+            Ok(message) => *message,
+            Err(panic) => panic.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+        }
     }
 
     /// Takes the frames staged on `mesh`'s link and not yet written.
@@ -891,11 +1014,87 @@ pub(crate) mod tests {
             worker.step();
         })
         .expect_err("stepping after a stranding disconnect must panic");
-        let message = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default());
+        let message = panic_message(panic);
         assert!(message.contains("mid-frame"), "unexpected panic message: {message}");
+    }
+
+    #[test]
+    fn an_unknown_frame_kind_is_reported_to_every_worker() {
+        // A whole, well-sized frame whose kind byte is neither data nor
+        // progress reaches a process of two workers. The one that reads it
+        // must record the failure, not panic holding the link's lock, and
+        // both must then panic from their step with the reason.
+        let [(near, _near_guard), (_far, far_guard)] = process_pair(2);
+        let frame = WireFrame::new(0, 0, 2, 0, 7, Slab::new(vec![1, 2, 3])).to_bytes();
+        let far_mesh = far_guard.mesh.as_ref().expect("links");
+        (&far_mesh.links[0].stream).write_all(&frame).expect("frame");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while near[0].peer_failure().is_none() {
+            assert!(near[0].try_recv().is_none(), "a frame of unknown kind is no envelope");
+            assert!(Instant::now() < deadline, "peer failure never reported");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for alloc in near {
+            let panic = std::panic::catch_unwind(move || {
+                crate::worker::Worker::new(alloc).step();
+            })
+            .expect_err("stepping after an unknown frame kind must panic");
+            let message = panic_message(panic);
+            assert!(message.contains("unknown frame kind"), "unexpected panic message: {message}");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_sole_worker_wakes_when_remote_bytes_land() {
+        // Process 1 writes a frame 20 ms into process 0's one-second wait:
+        // the bytes, not the timeout, must end it.
+        let [(mut near, _near_guard), (mut far, _far_guard)] = process_pair(1);
+        let (alloc, peer) = (near.remove(0), far.remove(0));
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            let payload = Payload::ProgressBytes(Slab::new(7usize.encode_to_vec()));
+            send_to(&peer.senders(), 0, Envelope { dataflow: 0, channel: 0, from: 1, payload });
+            peer.flush();
+            peer
+        });
+        let started = Instant::now();
+        assert!(alloc.wait(Some(Duration::from_secs(1))), "the frame did not end the wait");
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_millis(500), "the wait took {waited:?}");
+        assert_eq!(alloc.try_recv().map(|envelope| envelope.from), Some(1));
+        drop(writer.join().expect("writer panicked"));
+    }
+
+    /// CPU time the calling thread has used so far.
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_time() -> Duration {
+        let schedstat =
+            std::fs::read_to_string("/proc/thread-self/schedstat").expect("thread schedstat");
+        let nanos = schedstat.split_whitespace().next().and_then(|nanos| nanos.parse().ok());
+        Duration::from_nanos(nanos.expect("run time in nanoseconds"))
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_closed_link_is_left_out_of_the_wait() {
+        // Once the peer's end-of-stream has been read, its socket would
+        // report readable on every `ppoll`: the wait must sleep its 20 ms
+        // out, not spin through them.
+        let [(near, near_guard), far] = process_pair(1);
+        drop(far);
+        let mesh = near_guard.mesh.as_ref().expect("links");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !mesh.links[0].lock().reader.closed {
+            assert!(near[0].try_recv().is_none(), "the peer sent nothing");
+            assert!(Instant::now() < deadline, "end-of-stream never read");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (cpu, started) = (thread_cpu_time(), Instant::now());
+        assert!(!near[0].wait(Some(Duration::from_millis(20))), "nothing can arrive");
+        let (busy, waited) = (thread_cpu_time() - cpu, started.elapsed());
+        assert!(waited >= Duration::from_millis(20), "the wait returned after {waited:?}");
+        assert!(busy < Duration::from_millis(5), "the wait spun: {busy:?} of CPU in {waited:?}");
     }
 
     #[test]

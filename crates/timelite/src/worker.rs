@@ -21,14 +21,27 @@
 //! peers in other processes "left" means written: the step's last act is one
 //! write per link of everything it staged, and its first is to read them.
 //!
-//! A reply is waited for on the mailbox, not on the caller's timer: a
+//! A reply is waited for where it lands, not on the caller's timer: a
 //! [`Worker::step`] whose round finds nothing to do right after an active one
-//! — the moment a peer in this process most often owes it an acknowledgement
-//! or a frontier — parks on its mailbox for at most `FIRST_PARK_SLICE`, and
-//! runs one more round if an envelope lands. Both sides of a round trip do
-//! this, so a peer's push ends the wait at once instead of a driver's sleep.
-//! Alone, or with peers in other processes (whose bytes reach a socket, which
-//! cannot end a park), a step never parks; `step_while` keeps its own policy.
+//! — the moment a peer most often owes it an acknowledgement or a frontier —
+//! waits for at most `FIRST_PARK_SLICE`, and runs one more round if an
+//! envelope arrives. Both sides of a round trip do this, so a peer's reply
+//! ends the wait at once instead of a driver's sleep. Whether a step waits
+//! depends on who its peers are:
+//!
+//! * **Every peer in this process:** it parks on its mailbox, which each
+//!   peer's push wakes.
+//! * **Alone in its process, with peers in others:** it waits on its sockets
+//!   (`ppoll(2)`), which the peer process's bytes wake. Linux only; elsewhere
+//!   it is the next case.
+//! * **Siblings in this process and peers in others:** it never waits. It
+//!   would park on its mailbox, and bytes reaching a socket cannot end that
+//!   park while every worker of the process is parked.
+//!
+//! A single worker has nobody to wait for and never waits either.
+//! `step_while` keeps its own policy: a spin prelude, then parks of
+//! `PARK_TIMEOUT`, which the mixed case (siblings and links) takes in
+//! doubling slices instead.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -53,20 +66,20 @@ const PARK_SPIN_YIELDS: usize = 32;
 /// frame waits in a socket for a process whose workers are all parked.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
-/// The first park of a worker with peers in other processes. Nothing wakes it
-/// when bytes reach a socket, so a park taken a moment too early — the peer
-/// was descheduled for longer than the spin prelude — costs its whole length,
-/// and the peer, kept waiting in turn, parks as well. Each park that ends with
-/// mailbox and sockets still empty doubles the next, up to [`PARK_TIMEOUT`]:
-/// a mistaken park costs 50 µs, genuine idleness still ends up at one wake-up
-/// a millisecond. (`timelite.progress.empty_epoch_net_us`, lock-step empty
-/// epochs across two processes: 8 µs with these slices, 17–81 µs from run to
-/// run with every park at `PARK_TIMEOUT`.)
+/// The longest [`Worker::step`] waits for a reply after an active round (see
+/// the module docs): long enough to cover a peer's reply, short enough that a
+/// caller whose work is not in the mailbox — an input to feed, a deadline —
+/// loses at most one slice to it.
 ///
-/// It is also the longest [`Worker::step`] parks after an active round when
-/// every peer is in this process (see the module docs): long enough to cover
-/// a peer's reply, short enough that a caller whose work is not in the
-/// mailbox — an input to feed, a deadline — loses at most one slice to it.
+/// It is also the first park of an idle loop on a worker with both siblings
+/// and peers in other processes. Nothing wakes that park when bytes reach a
+/// socket, so a park taken a moment too early — the peer was descheduled for
+/// longer than the spin prelude — costs its whole length, and the peer, kept
+/// waiting in turn, parks as well. Each park that ends with mailbox and
+/// sockets still empty doubles the next, up to [`PARK_TIMEOUT`]: a mistaken
+/// park costs 50 µs, genuine idleness still ends up at one wake-up a
+/// millisecond. A process's only worker waits on its sockets instead and
+/// needs no slices.
 const FIRST_PARK_SLICE: Duration = Duration::from_micros(50);
 
 /// A type-erased executable dataflow owned by a worker.
@@ -476,16 +489,17 @@ impl Worker {
     /// activated operators, or changed progress state); callers may yield or
     /// park when the worker reports inactivity.
     ///
-    /// When that round finds nothing to do right after one that did, and
-    /// every peer lives in this process, the step first waits up to
-    /// `FIRST_PARK_SLICE` (50 µs) on the mailbox for the peer's reply; if
-    /// an envelope lands it runs one more round and returns that round's
-    /// activity. A single worker, or one with peers in other processes, never
-    /// waits here.
+    /// When that round finds nothing to do right after one that did, the
+    /// step first waits up to `FIRST_PARK_SLICE` (50 µs) for the peer's
+    /// reply — on the mailbox when every peer lives in this process, on the
+    /// sockets when this worker is its process's only one; if an envelope
+    /// arrives it runs one more round and returns that round's activity. A
+    /// single worker, or one with both siblings and peers in other processes,
+    /// never waits here.
     pub fn step(&mut self) -> bool {
         let after_active = self.last_round_active;
         let active = self.round();
-        if active || !after_active || self.peers() == 1 || self.alloc.has_links() {
+        if active || !after_active || self.peers() == 1 || !self.alloc.wait_sees_every_sender() {
             return active;
         }
         self.alloc.wait(Some(FIRST_PARK_SLICE)) && self.round()
@@ -520,13 +534,14 @@ impl Worker {
     }
 
     /// Parks an idle driving loop: a capped spin prelude of yields (cheap
-    /// sub-microsecond turnarounds), then a bounded park on the mailbox
-    /// eventcount (~0 CPU while genuinely idle). `idle_streak` counts the
-    /// consecutive idle steps seen by the caller.
+    /// sub-microsecond turnarounds), then a bounded [`Allocator::wait`]
+    /// (~0 CPU while genuinely idle) — in doubling slices where that wait
+    /// cannot see every sender (see `FIRST_PARK_SLICE`). `idle_streak` counts
+    /// the consecutive idle steps seen by the caller.
     fn idle_wait(&self, idle_streak: usize) {
         if idle_streak <= PARK_SPIN_YIELDS {
             std::thread::yield_now();
-        } else if self.alloc.has_links() {
+        } else if !self.alloc.wait_sees_every_sender() {
             let doublings = (idle_streak - PARK_SPIN_YIELDS - 1).min(8);
             self.alloc.wait(Some((FIRST_PARK_SLICE * (1 << doublings)).min(PARK_TIMEOUT)));
         } else {
@@ -597,8 +612,8 @@ impl Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::communication::net::tests::mesh_pair;
-    use crate::communication::{allocate, WorkerSender};
+    use crate::communication::allocate;
+    use crate::communication::net::tests::process_pair;
     use crate::dataflow::InputHandle;
     use std::time::Instant;
 
@@ -800,20 +815,38 @@ mod tests {
         );
     }
 
-    /// Bytes reaching a socket cannot end a mailbox park, so a worker with
-    /// peers in other processes never parks inside `step`.
+    /// A process's only worker waits for the reply on its sockets: with a
+    /// peer process that never answers (its worker is never stepped), the
+    /// idle step after an active one waits out one `FIRST_PARK_SLICE`, then
+    /// reports nothing done.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn a_worker_with_links_never_parks_in_step() {
-        let (mesh, _peer) = mesh_pair();
-        let (to_self, mailbox) = crossbeam_channel::unbounded();
-        let remote = WorkerSender::Remote { to: 1, mesh: Arc::clone(&mesh), link: 0 };
-        let alloc = Allocator::from_parts(0, 2, vec![WorkerSender::Local(to_self), remote], mailbox);
-        let mut worker = Worker::new(alloc.with_mesh(mesh));
+    fn a_sole_worker_with_links_waits_one_slice_for_a_silent_remote_peer() {
+        let [(mut near, _near_guard), _far] = process_pair(1);
+        let mut worker = Worker::new(near.remove(0));
         let mut input = input_to_probe(&mut worker);
         while worker.step() {}
-        // Each pair writes one progress frame the peer never reads: keep
-        // them well inside the socket buffers.
-        let pairs = PAIRS / 10;
+        input.advance_to(1);
+        let waited = time_first_idle_step(&mut worker);
+        assert!(
+            waited >= FIRST_PARK_SLICE && waited < FIRST_PARK_SLICE + Duration::from_millis(50),
+            "the idle step after an active one took {waited:?}"
+        );
+    }
+
+    /// A worker with siblings would park on its mailbox, which bytes reaching
+    /// a socket cannot wake, so with peers in other processes as well it
+    /// never waits inside `step`.
+    #[test]
+    fn a_worker_with_siblings_and_links_never_parks_in_step() {
+        let [(mut near, _near_guard), _far] = process_pair(2);
+        let mut worker = Worker::new(near.remove(0));
+        let mut input = input_to_probe(&mut worker);
+        while worker.step() {}
+        // Each pair writes a progress frame to each of the two remote
+        // workers, which never read: keep them well inside the socket
+        // buffers.
+        let pairs = PAIRS / 20;
         let mut idle = Duration::ZERO;
         for time in 1..=u64::from(pairs) {
             input.advance_to(time);
