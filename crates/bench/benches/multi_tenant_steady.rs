@@ -85,7 +85,7 @@ fn bench_multi_tenant(c: &mut Criterion) {
     }
 
     // The idle floor: a step in which no tenant has work. This is the cost an
-    // idle worker pays per spurious wakeup, and what the eventcount park
+    // idle worker pays per spurious wakeup, and what the park
     // avoids burning a core on.
     group.bench_function("idle_step/32", |b| {
         let mut state = MultiTenant::new(32);

@@ -606,10 +606,6 @@ pub struct BinStore<T, S, D> {
     /// backend (spilled out of memory). Spilled bins count as hosted for
     /// routing; [`BinStore::ensure_resident`] faults them back in on access.
     spilled: HashSet<BinId>,
-    /// The optional cold-bin eviction policy, enforced by
-    /// [`BinStore::enforce_eviction`] (called by the stateful operator every
-    /// scheduling round when set).
-    eviction: Option<crate::storage::EvictionPolicy>,
 }
 
 impl<T, S, D> std::fmt::Debug for BinStore<T, S, D> {
@@ -665,7 +661,6 @@ impl<T, S, D> BinStore<T, S, D> {
             assemblies: None,
             backend: None,
             spilled: HashSet::new(),
-            eviction: None,
         }
     }
 
@@ -1052,55 +1047,6 @@ impl<T: Timestamp, S: ChunkedCodec + 'static, D: Codec + 'static> BinStore<T, S,
         let _ = self.extract(bin);
         self.spilled.insert(bin);
         Ok(true)
-    }
-
-    /// Spills every resident bin that has folded at most `max_records` records
-    /// since it was last (re-)hosted — the store's notion of *cold*. Returns
-    /// how many bins spilled (always 0 without a backend).
-    pub fn spill_cold(&mut self, max_records: u64) -> Result<usize, StorageError> {
-        if self.backend.is_none() {
-            return Ok(0);
-        }
-        let cold: Vec<BinId> = self
-            .hosted()
-            .map(|(bin, _)| bin)
-            .filter(|&bin| self.load(bin).records <= max_records)
-            .collect();
-        let mut count = 0;
-        for bin in cold {
-            if self.spill_bin(bin)? {
-                count += 1;
-            }
-        }
-        Ok(count)
-    }
-
-    /// Arms (or replaces) the cold-bin eviction policy. The stateful operator
-    /// calls [`enforce_eviction`](Self::enforce_eviction) every scheduling
-    /// round, so setting a policy is all it takes to keep cold bins spilled.
-    /// Requires a backend to have any effect (eviction spills through it).
-    pub fn set_eviction_policy(&mut self, policy: crate::storage::EvictionPolicy) {
-        self.eviction = Some(policy);
-    }
-
-    /// Lets the eviction policy (if any) observe the current per-bin loads
-    /// and spills whatever it rules cold. Returns how many bins spilled
-    /// (always 0 without a policy or without a backend).
-    pub fn enforce_eviction(&mut self) -> Result<usize, StorageError> {
-        let Some(mut policy) = self.eviction.take() else {
-            return Ok(0);
-        };
-        let loads: Vec<(u64, BinLoad)> =
-            self.hosted().map(|(bin, _)| (bin as u64, self.load(bin))).collect();
-        let cold = policy.observe(self.tracked.records, loads);
-        self.eviction = Some(policy);
-        let mut count = 0;
-        for bin in cold {
-            if self.spill_bin(bin as BinId)? {
-                count += 1;
-            }
-        }
-        Ok(count)
     }
 
     /// Writes every hosted bin's image as one full table and rotates the WAL,
@@ -1928,42 +1874,10 @@ mod tests {
         assert!(store.ensure_resident(1).expect("fault in"));
         assert_eq!(store.try_bin(1), Some(&bin), "faulted-in bin is byte-identical");
         assert_eq!(store.spilled_count(), 0);
-        // spill_cold spills only bins at or below the record threshold.
-        assert_eq!(store.spill_cold(10).expect("spill cold"), 1);
+        // A faulted-in bin spills again, and only the bin named leaves memory.
+        assert!(store.spill_bin(1).expect("spill again"));
         assert!(store.try_bin(1).is_none());
         assert!(store.try_bin(2).is_some(), "hot bin stays resident");
-        let _ = std::fs::remove_dir_all(&durable.root);
-    }
-
-    #[test]
-    fn eviction_policy_spills_cold_bins_and_keeps_hot_ones_resident() {
-        let config = MegaphoneConfig::new(2).with_chunk_bytes(64);
-        let durable = durable_config("evict-policy");
-        let (mut store, _) = TestStore::open_durable(&config, &durable, "op", 0).expect("open");
-        let cold: Bin<u64, Vec<u64>, (u64, u64)> =
-            Bin { state: (0..40).collect(), pending: Vec::new() };
-        store.install(1, cold.clone());
-        store.install(2, Bin { state: vec![1], pending: Vec::new() });
-        store.set_eviction_policy(
-            crate::storage::EvictionPolicy::new(0, 2).with_window_records(8),
-        );
-        // First enforcement only baselines; nothing has gone cold yet.
-        assert_eq!(store.enforce_eviction().expect("baseline"), 0);
-        // One window of progress in which only bin 2 folds records: bin 1 is
-        // cold for one window, below the patience threshold.
-        store.note_records(2, 8, 64);
-        assert_eq!(store.enforce_eviction().expect("first cold window"), 0);
-        // A second cold window reaches the patience threshold: bin 1 spills.
-        store.note_records(2, 8, 64);
-        assert_eq!(store.enforce_eviction().expect("second cold window"), 1);
-        assert!(store.try_bin(1).is_none(), "cold bin is spilled");
-        assert!(store.try_bin(2).is_some(), "hot bin stays resident");
-        assert_eq!(store.spilled_count(), 1);
-        // The spilled bin faults back in byte-identical on first touch.
-        assert!(store.ensure_resident(1).expect("fault in"));
-        assert_eq!(store.try_bin(1), Some(&cold));
-        // An enforcement round with no further progress evicts nothing more.
-        assert_eq!(store.enforce_eviction().expect("idle"), 0);
         let _ = std::fs::remove_dir_all(&durable.root);
     }
 

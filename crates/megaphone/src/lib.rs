@@ -121,7 +121,7 @@ pub use notificator::{Notificator, PendingQueue, WakeupQueue};
 pub use operator::{stateful_unary, StatefulOutput};
 pub use routing::RoutingTable;
 pub use storage::{
-    set_worker_storage, worker_storage, DurableBackend, DurableConfig, EvictionPolicy, Recovery,
+    set_worker_storage, worker_storage, DurableBackend, DurableConfig, Recovery,
     StorageBackend, StorageConfig, StorageError, StorageHandle, StorageStats,
 };
 pub use strategies::{
@@ -140,7 +140,7 @@ pub mod prelude {
     pub use crate::notificator::Notificator;
     pub use crate::operator::{stateful_unary, StatefulOutput};
     pub use crate::storage::{
-        set_worker_storage, worker_storage, DurableConfig, EvictionPolicy, StorageConfig,
+        set_worker_storage, worker_storage, DurableConfig, StorageConfig,
         StorageHandle, StorageStats,
     };
     pub use crate::strategies::{

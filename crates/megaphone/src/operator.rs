@@ -505,13 +505,6 @@ where
                 s_output.session(&capability).give_vec(&mut outputs);
             }
 
-            // Cold-bin eviction: let the store's policy (if armed) observe
-            // this round's per-bin loads and spill whatever has gone cold.
-            s_store
-                .borrow_mut()
-                .enforce_eviction()
-                .unwrap_or_else(|error| panic!("cold-bin eviction failed: {error}"));
-
             // More times may be ready, and the fold above may have scheduled
             // wake-ups at the very time just retired (a notificator deadline
             // clamped to the current time): those are ready *now*, and no
@@ -537,12 +530,10 @@ where
     );
     let checkpoint_store = store.clone();
     let sync_store = store.clone();
-    let spill_store = store.clone();
     let stats_store = store;
     let storage = StorageHandle::new(
         std::rc::Rc::new(move || checkpoint_store.borrow_mut().checkpoint()),
         std::rc::Rc::new(move || sync_store.borrow_mut().sync()),
-        std::rc::Rc::new(move |max_records| spill_store.borrow_mut().spill_cold(max_records)),
         std::rc::Rc::new(move || stats_store.borrow().storage_stats()),
     );
     StatefulOutput { stream, probe, stats, storage }

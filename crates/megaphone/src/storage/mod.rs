@@ -41,7 +41,6 @@
 //! [`StorageError::Corrupt`].
 
 pub mod bloom;
-pub mod eviction;
 pub mod sstable;
 pub mod wal;
 
@@ -51,7 +50,6 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 pub use bloom::BloomFilter;
-pub use eviction::EvictionPolicy;
 pub use sstable::SsTable;
 pub use wal::{crc32, replay_bytes, Wal, WalEntry, WalRecord};
 
@@ -619,19 +617,17 @@ impl Drop for DurableBackend {
 pub struct StorageHandle {
     checkpoint: Rc<dyn Fn() -> Result<(), StorageError>>,
     sync: Rc<dyn Fn() -> Result<(), StorageError>>,
-    spill_cold: Rc<dyn Fn(u64) -> Result<usize, StorageError>>,
     stats: Rc<dyn Fn() -> Option<StorageStats>>,
 }
 
 impl StorageHandle {
-    /// Builds a handle from the four probe closures.
+    /// Builds a handle from the three probe closures.
     pub fn new(
         checkpoint: Rc<dyn Fn() -> Result<(), StorageError>>,
         sync: Rc<dyn Fn() -> Result<(), StorageError>>,
-        spill_cold: Rc<dyn Fn(u64) -> Result<usize, StorageError>>,
         stats: Rc<dyn Fn() -> Option<StorageStats>>,
     ) -> Self {
-        StorageHandle { checkpoint, sync, spill_cold, stats }
+        StorageHandle { checkpoint, sync, stats }
     }
 
     /// Checkpoints the store (full-image table + WAL rotation). A no-op for
@@ -643,12 +639,6 @@ impl StorageHandle {
     /// Syncs the store's WAL. A no-op for in-memory stores.
     pub fn sync(&self) -> Result<(), StorageError> {
         (self.sync)()
-    }
-
-    /// Spills every resident bin with at most `max_records` observed records
-    /// since hosting; returns how many bins spilled (0 for in-memory stores).
-    pub fn spill_cold(&self, max_records: u64) -> Result<usize, StorageError> {
-        (self.spill_cold)(max_records)
     }
 
     /// The store's storage counters, `None` for in-memory stores.

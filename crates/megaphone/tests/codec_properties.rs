@@ -448,7 +448,7 @@ fn through_a_frame<B: Codec + Clone + PartialEq + std::fmt::Debug + Send + 'stat
     let payload = Payload::DataBytes(Slab::new(batches.encode_to_vec()));
     let envelope = Envelope { dataflow: 0, channel: 1, from: 0, payload };
     let frame = encode_frame(&envelope, 1).to_bytes();
-    let (received, to) = decode_frame(&frame[8..]);
+    let (received, to) = decode_frame(&frame[8..]).expect("a whole frame");
     assert_eq!(to, 1);
     let Payload::DataBytes(bytes) = received.payload else {
         panic!("a frame's payload arrives encoded");
@@ -707,6 +707,23 @@ fn hostile_flat_table_images_are_rejected_when_decoded() {
         }
     }
     assert_eq!(misplaced.iter().count(), 4);
+}
+
+/// `decode_frame` is public and its input may come from outside: a frame
+/// shorter than its header, or one whose kind byte is neither data (0) nor
+/// progress (1), decodes to `None` instead of panicking.
+#[test]
+fn a_short_frame_or_an_unknown_kind_decodes_to_none() {
+    use timelite::codec::Slab;
+    use timelite::communication::{decode_frame, WireFrame, FRAME_HEADER_BYTES};
+    let frame = WireFrame::new(0, 1, 2, 3, 1, Slab::new(vec![4, 5])).to_bytes();
+    let (envelope, to) = decode_frame(&frame[8..]).expect("a whole progress frame");
+    assert_eq!((envelope.channel, envelope.from, to), (1, 2, 3));
+    for short in [0, 1, FRAME_HEADER_BYTES - 1] {
+        assert!(decode_frame(&frame[8..8 + short]).is_none(), "{short} bytes decoded");
+    }
+    let unknown = WireFrame::new(0, 1, 2, 3, 7, Slab::new(vec![4, 5])).to_bytes();
+    assert!(decode_frame(&unknown[8..]).is_none(), "kind byte 7 decoded");
 }
 
 /// A tag byte `Either` never writes is refused, not read as `Right`.

@@ -17,6 +17,10 @@
 //! staged ([`Allocator::flush`]) and reads before it receives
 //! ([`Allocator::try_recv`], [`Allocator::wait`]). With no links — every
 //! in-process fabric — both are an empty loop.
+//!
+//! An idle worker waits in one place whoever its peers are: `ppoll(2)` on its
+//! mailbox's doorbell (an `eventfd` a push rings while the worker is parked)
+//! and on the process's links ([`Allocator::wait`]).
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,6 +30,7 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 
 use super::net::Mesh;
+use super::sys::{self, EventFd};
 use crate::codec::{Codec, Slab};
 
 /// Shared record of remote-peer health, written by whichever worker of a
@@ -221,18 +226,63 @@ pub fn decode_frame_parts(
 }
 
 /// Deserializes one frame body (everything after the `[len u64]` prefix) back
-/// into `(envelope, to)`. Convenience for tests and inspection; a link
-/// slices payloads out of its read region via [`decode_frame_parts`]
-/// instead of copying them out of a contiguous frame.
-///
-/// # Panics
-///
-/// If the frame is shorter than its header or its kind byte is invalid.
-pub fn decode_frame(frame: &[u8]) -> (Envelope, usize) {
-    let header: [u8; FRAME_HEADER_BYTES] =
-        frame[..FRAME_HEADER_BYTES].try_into().expect("frame shorter than its header");
-    decode_frame_parts(&header, Slab::new(frame[FRAME_HEADER_BYTES..].to_vec()))
-        .expect("invalid frame kind")
+/// into `(envelope, to)`, or `None` if it is shorter than its header or its
+/// kind byte is neither data nor progress. Convenience for tests and
+/// inspection; a link slices payloads out of its read region via
+/// [`decode_frame_parts`] instead of copying them out of a contiguous frame.
+pub fn decode_frame(frame: &[u8]) -> Option<(Envelope, usize)> {
+    let header = frame.get(..FRAME_HEADER_BYTES)?.try_into().ok()?;
+    decode_frame_parts(header, Slab::new(frame[FRAME_HEADER_BYTES..].to_vec()))
+}
+
+/// What rings a parked worker awake: an `eventfd` (see
+/// [`sys`](super::sys)) and whether the worker is about to wait on it.
+/// Signalled only while `armed`, so a push to a busy worker costs one load.
+pub(crate) struct Doorbell {
+    armed: AtomicBool,
+    fd: EventFd,
+}
+
+impl Doorbell {
+    fn new() -> Self {
+        let fd = EventFd::new().unwrap_or_else(|error| panic!("no eventfd for a mailbox: {error}"));
+        Doorbell { armed: AtomicBool::new(false), fd }
+    }
+
+    /// Wakes the owner if it is parked or about to park. Call after the push:
+    /// see [`Allocator::wait`] for why that order loses no wake-up.
+    fn ring(&self) {
+        if self.armed.load(Ordering::SeqCst) {
+            self.fd.signal();
+        }
+    }
+}
+
+/// The sending half of a worker's mailbox, which every same-process peer and
+/// the process's links hold: a queue push, then a ring of the owner's
+/// doorbell (see [`Allocator::wait`]).
+#[derive(Clone)]
+pub struct Mailbox {
+    queue: Sender<Envelope>,
+    bell: Arc<Doorbell>,
+}
+
+impl Mailbox {
+    /// Delivers `envelope`, ignoring a receiver that has shut down (its
+    /// dataflows were complete, so the message is irrelevant).
+    pub(crate) fn send(&self, envelope: Envelope) {
+        if self.queue.send(envelope).is_ok() {
+            self.bell.ring();
+        }
+    }
+}
+
+/// A new mailbox: the sending half, and the receiving half an
+/// [`Allocator`] is built from.
+pub(crate) fn mailbox() -> (Mailbox, (Receiver<Envelope>, Arc<Doorbell>)) {
+    let (queue, receiver) = unbounded();
+    let bell = Arc::new(Doorbell::new());
+    (Mailbox { queue, bell: Arc::clone(&bell) }, (receiver, bell))
 }
 
 /// A sender handle to one worker's mailbox: an in-memory channel for a worker
@@ -241,7 +291,7 @@ pub fn decode_frame(frame: &[u8]) -> (Envelope, usize) {
 #[derive(Clone)]
 pub enum WorkerSender {
     /// The peer lives in this process: envelopes are moved, never serialized.
-    Local(Sender<Envelope>),
+    Local(Mailbox),
     /// The peer lives in another process: envelopes are encoded into
     /// [`WireFrame`]s (prefix + payload slab, no contiguous copy) and staged
     /// on the link to that process until the sending worker's step ends.
@@ -281,6 +331,7 @@ pub struct Allocator {
     peers: usize,
     senders: Vec<WorkerSender>,
     receiver: Receiver<Envelope>,
+    bell: Arc<Doorbell>,
     /// The links to the other processes (and the remote-peer health record),
     /// shared by this process's workers in cluster mode; `None` for purely
     /// in-process fabrics.
@@ -295,9 +346,9 @@ impl Allocator {
         index: usize,
         peers: usize,
         senders: Vec<WorkerSender>,
-        receiver: Receiver<Envelope>,
+        (receiver, bell): (Receiver<Envelope>, Arc<Doorbell>),
     ) -> Self {
-        Allocator { index, peers, senders, receiver, mesh: None }
+        Allocator { index, peers, senders, receiver, bell, mesh: None }
     }
 
     /// Attaches the process's links (cluster bootstrap only).
@@ -328,16 +379,6 @@ impl Allocator {
     /// Clones the sender handles (one per worker, including this one).
     pub fn senders(&self) -> Vec<WorkerSender> {
         self.senders.clone()
-    }
-
-    /// Whether [`wait`](Allocator::wait) ends as soon as anything reaches this
-    /// worker: true with no links (every sender pushes into the mailbox) and
-    /// for the only worker of its process on Linux (it waits on its sockets as
-    /// well, and only its own reads fill its mailbox). False for a worker with
-    /// both siblings and links: it parks on the mailbox, and bytes reaching a
-    /// socket while every worker of the process is parked wake nobody.
-    pub(crate) fn wait_sees_every_sender(&self) -> bool {
-        self.mesh.as_deref().is_none_or(Mesh::can_wait_on_links)
     }
 
     /// Writes every frame staged on this process's links — by this worker or a
@@ -373,39 +414,32 @@ impl Allocator {
     /// Blocks the calling worker thread until an envelope is available (or
     /// `timeout` elapses; `None` waits indefinitely). Returns whether the
     /// mailbox had something to receive. This is how an idle worker burns
-    /// ~0 CPU instead of spin-yielding, in one of three ways:
+    /// ~0 CPU instead of spin-yielding, and it is one wait whoever the peers
+    /// are: `ppoll(2)` on the mailbox's doorbell and on every link whose peer
+    /// has not closed (none in-process), until the mailbox holds something.
+    /// Every wake reads the links, so a frame for this worker is routed into
+    /// its mailbox, and one for a sibling into that sibling's, which rings it.
     ///
-    /// * **No links:** it parks on the mailbox's eventcount. Every path that
-    ///   can create work for it — a peer's data envelope, a progress
-    ///   broadcast — lands in the mailbox, and the channel's no-lost-wakeup
-    ///   protocol guarantees a send during the park transition is observed.
-    /// * **Links, and no sibling** (Linux): it blocks in `ppoll(2)` on the
-    ///   link sockets and routes whatever arrives, until an envelope is in
-    ///   the mailbox; a wake that brings part of a frame blocks again. The
-    ///   mailbox of a process's only worker is filled by its own sends, which
-    ///   it made before waiting, and by the frames it reads itself, so this
-    ///   misses nothing. A link whose peer has closed is left out: its socket
-    ///   would report end-of-stream on every call.
-    /// * **Links and siblings:** it reads the sockets, then parks on the
-    ///   mailbox, where a frame a sibling read off a link wakes it. Bytes
-    ///   that reach a socket while every worker of the process is parked wake
-    ///   nobody, so a caller keeps `timeout` short.
+    /// No wake-up is lost (the argument the channel once made for its
+    /// eventcount, one layer up). A sender pushes, *then* loads `armed`; the
+    /// waiter sets `armed`, *then* re-checks the mailbox; all four are
+    /// `SeqCst`, so they have one total order. If the sender read `false`,
+    /// its load, and so its push, precede the waiter's store, and the
+    /// re-check finds the envelope. If it read `true`, it signals the
+    /// eventfd, whose count stays readable until this wait drains it, so
+    /// `ppoll` returns at once however late it starts.
+    ///
+    /// Siblings poll the same sockets, so a frame's bytes wake all of them.
+    /// The one that takes the link's lock reads; the others find it held,
+    /// pass it over and park again, each turn bounded by the reader's one
+    /// pass over the socket — or are rung when it routes a frame to them.
     pub fn wait(&self, timeout: Option<Duration>) -> bool {
-        match &self.mesh {
-            None => self.receiver.wait(timeout),
-            Some(mesh) if mesh.can_wait_on_links() => self.wait_on_links(mesh, timeout),
-            Some(mesh) => {
-                mesh.poll();
-                self.receiver.wait(timeout)
-            }
-        }
-    }
-
-    /// The wait of a process's only worker (see [`wait`](Allocator::wait)).
-    fn wait_on_links(&self, mesh: &Mesh, timeout: Option<Duration>) -> bool {
         let deadline = timeout.map(|timeout| Instant::now() + timeout);
+        let mut fds = Vec::new();
         loop {
-            mesh.poll();
+            if let Some(mesh) = &self.mesh {
+                mesh.poll();
+            }
             if self.receiver.is_ready() {
                 return true;
             }
@@ -413,7 +447,21 @@ impl Allocator {
             if left == Some(Duration::ZERO) {
                 return false;
             }
-            mesh.await_bytes(left);
+            self.bell.armed.store(true, Ordering::SeqCst);
+            if self.receiver.is_ready() {
+                self.bell.armed.store(false, Ordering::SeqCst);
+                return true;
+            }
+            fds.clear();
+            fds.push(self.bell.fd.poll_fd());
+            if let Some(mesh) = &self.mesh {
+                mesh.open_links(&mut fds);
+            }
+            sys::await_readable(&mut fds, left);
+            self.bell.armed.store(false, Ordering::SeqCst);
+            if fds[0].woke() {
+                self.bell.fd.drain();
+            }
         }
     }
 }
@@ -425,13 +473,8 @@ impl Allocator {
 /// sender handles to every mailbox (including its own).
 pub fn allocate(peers: usize) -> Vec<Allocator> {
     assert!(peers > 0, "at least one worker is required");
-    let mut senders = Vec::with_capacity(peers);
-    let mut receivers = Vec::with_capacity(peers);
-    for _ in 0..peers {
-        let (tx, rx) = unbounded();
-        senders.push(WorkerSender::Local(tx));
-        receivers.push(rx);
-    }
+    let (mailboxes, receivers): (Vec<_>, Vec<_>) = (0..peers).map(|_| mailbox()).unzip();
+    let senders: Vec<WorkerSender> = mailboxes.into_iter().map(WorkerSender::Local).collect();
     receivers
         .into_iter()
         .enumerate()
@@ -443,9 +486,7 @@ pub fn allocate(peers: usize) -> Vec<Allocator> {
 /// already shut down (its dataflows were complete, so the message is irrelevant).
 pub fn send_to(senders: &[WorkerSender], target: usize, envelope: Envelope) {
     match &senders[target] {
-        WorkerSender::Local(tx) => {
-            let _ = tx.send(envelope);
-        }
+        WorkerSender::Local(mailbox) => mailbox.send(envelope),
         WorkerSender::Remote { to, mesh, link } => {
             debug_assert_eq!(*to, target, "remote sender routed to the wrong worker");
             mesh.stage(*link, encode_frame(&envelope, *to));
@@ -514,6 +555,92 @@ mod tests {
         );
     }
 
+    /// Per-test iteration scale; the CI `queue-stress` job raises it.
+    fn stress_iters(default: u64) -> u64 {
+        std::env::var("QUEUE_STRESS_ITERS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+    }
+
+    /// A tiny deterministic RNG (xorshift64*), so the stress schedules are
+    /// reproducible from their printed seed.
+    fn seeded_rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.max(1);
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+    }
+
+    /// An envelope that carries nothing but `channel`.
+    fn marker(channel: usize) -> Envelope {
+        Envelope { dataflow: 0, channel, from: 0, payload: Payload::ProgressShared(Arc::new(())) }
+    }
+
+    /// `wait` with a timeout must return false on an empty mailbox once the
+    /// timeout has passed, and true at once when an envelope is queued.
+    #[test]
+    fn wait_times_out_empty_and_returns_on_ready() {
+        let allocs = allocate(2);
+        let start = Instant::now();
+        assert!(!allocs[1].wait(Some(Duration::from_millis(20))));
+        assert!(start.elapsed() >= Duration::from_millis(20), "returned before the timeout");
+        send_to(&allocs[0].senders(), 1, marker(5));
+        let start = Instant::now();
+        assert!(allocs[1].wait(Some(Duration::from_secs(1))));
+        assert!(start.elapsed() < Duration::from_millis(500), "a queued envelope must not wait");
+        assert_eq!(allocs[1].try_recv().map(|envelope| envelope.channel), Some(5));
+    }
+
+    /// Seeded park/wake stress for the doorbell: worker 1 waits with no
+    /// timeout before every receive while a seeded producer on worker 0
+    /// races sends into the park transition (sometimes landing exactly
+    /// between arming the doorbell and `ppoll`). Each send waits for worker
+    /// 1's echo, which worker 0 waits for the same way, so nothing rescues a
+    /// lost wake-up on either side and a single one hangs the test — the CI
+    /// `queue-stress` job runs this in release at high iteration counts
+    /// under a runner timeout.
+    #[test]
+    fn seeded_park_wake_stress_loses_no_wakeups() {
+        for seed in [0x00c0_ffee_u64, 0xfeed_f00d, 0x0badcafe] {
+            let rounds = stress_iters(20_000) as usize;
+            let mut allocs = allocate(2);
+            let consumer = allocs.pop().expect("two allocators");
+            let producer = allocs.pop().expect("two allocators");
+            let producer = std::thread::spawn(move || {
+                let (senders, mut rng) = (producer.senders(), seeded_rng(seed));
+                for value in 0..rounds {
+                    // A mix of immediate sends (land while the consumer still
+                    // spins toward its park) and yield-delayed sends (land
+                    // mid-park-transition or against a parked waiter).
+                    match rng() % 4 {
+                        0 => {}
+                        1 => std::thread::yield_now(),
+                        _ => {
+                            for _ in 0..rng() % 32 {
+                                std::hint::spin_loop();
+                            }
+                        }
+                    }
+                    send_to(&senders, 1, marker(value));
+                    assert!(producer.wait(None), "seed {seed:#x}: wait returned not-ready");
+                    let echo = producer.try_recv().map(|envelope| envelope.channel);
+                    assert_eq!(echo, Some(value), "seed {seed:#x} lost an echo");
+                }
+            });
+            let senders = consumer.senders();
+            for expected in 0..rounds {
+                // Park with no timeout: a lost wake-up here hangs forever
+                // instead of being papered over by a timeout retry.
+                assert!(consumer.wait(None), "seed {seed:#x}: wait returned not-ready");
+                let received = consumer.try_recv().map(|envelope| envelope.channel);
+                assert_eq!(received, Some(expected), "seed {seed:#x} lost a message");
+                send_to(&senders, 0, marker(expected));
+            }
+            producer.join().expect("producer panicked");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
@@ -537,7 +664,7 @@ mod tests {
         );
         let frame = take_staged(&mesh).pop().expect("frame expected");
         let bytes = frame.to_bytes();
-        let (envelope, to) = decode_frame(&bytes[8..]);
+        let (envelope, to) = decode_frame(&bytes[8..]).expect("a whole frame");
         assert_eq!(to, 0);
         assert_eq!(envelope.dataflow, 2);
         assert_eq!(envelope.channel, 7);
@@ -568,7 +695,7 @@ mod tests {
             frame.len() - 8,
             "the stamped length must cover everything after itself"
         );
-        let (decoded, to) = decode_frame(&frame[8..]);
+        let (decoded, to) = decode_frame(&frame[8..]).expect("a whole frame");
         assert_eq!(to, 3);
         assert_eq!(decoded.channel, usize::MAX);
         match decoded.payload {

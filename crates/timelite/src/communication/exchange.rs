@@ -558,16 +558,15 @@ mod tests {
 
     #[test]
     fn broadcast_to_remote_targets_shares_one_encoding() {
-        use crate::communication::allocator::decode_frame;
+        use crate::communication::allocator::{decode_frame, mailbox};
         use crate::communication::net::tests::{mesh_pair, take_staged};
-        use crossbeam_channel::unbounded;
 
         // Worker 0 of 3, where workers 1 and 2 live in another "process":
         // a broadcast flush must produce byte-identical frames for both from
         // a single payload encoding.
         let (mesh, _peer) = mesh_pair();
         let remote = |to| WorkerSender::Remote { to, mesh: mesh.clone(), link: 0 };
-        let senders = vec![WorkerSender::Local(unbounded().0), remote(1), remote(2)];
+        let senders = vec![WorkerSender::Local(mailbox().0), remote(1), remote(2)];
         let local: SharedQueue<u64, u64> = shared_queue();
         let produced = shared_changes();
         let mut pusher =
@@ -579,7 +578,7 @@ mod tests {
         let mut payloads = Vec::new();
         for frame in &frames {
             let bytes = frame.to_bytes();
-            let (envelope, _to) = decode_frame(&bytes[8..]);
+            let (envelope, _to) = decode_frame(&bytes[8..]).expect("a whole frame");
             match envelope.payload {
                 Payload::DataBytes(bytes) => {
                     assert_eq!(MultiBatch::<u64, u64>::decode_from_slice(&bytes), vec![(4, vec![7, 8])]);
@@ -603,8 +602,8 @@ mod tests {
     /// re-encodes (and no debug assertion may sneak a re-encode in either).
     #[test]
     fn broadcast_encodes_each_record_exactly_once() {
+        use crate::communication::allocator::mailbox;
         use crate::communication::net::tests::{mesh_pair, take_staged};
-        use crossbeam_channel::unbounded;
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         static ENCODES: AtomicUsize = AtomicUsize::new(0);
@@ -624,7 +623,7 @@ mod tests {
         // Worker 0 of 4 with three remote targets.
         let (mesh, _peer) = mesh_pair();
         let remote = |to| WorkerSender::Remote { to, mesh: mesh.clone(), link: 0 };
-        let senders = vec![WorkerSender::Local(unbounded().0), remote(1), remote(2), remote(3)];
+        let senders = vec![WorkerSender::Local(mailbox().0), remote(1), remote(2), remote(3)];
         let local: SharedQueue<u64, CountingRecord> = shared_queue();
         let produced = shared_changes();
         let mut pusher =

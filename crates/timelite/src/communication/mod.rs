@@ -3,10 +3,11 @@
 pub mod allocator;
 pub mod exchange;
 pub mod net;
+mod sys;
 
 pub use allocator::{
     allocate, decode_frame, decode_frame_parts, encode_frame, send_to, Allocator, Envelope,
-    Payload, PeerStatus, WireFrame, WorkerSender, FRAME_HEADER_BYTES, FRAME_PREFIX_BYTES,
+    Mailbox, Payload, PeerStatus, WireFrame, WorkerSender, FRAME_HEADER_BYTES, FRAME_PREFIX_BYTES,
 };
 pub use net::{
     cluster_allocate, free_addresses, read_len_frame, write_len_frame, ClusterGuard, ClusterSpec,

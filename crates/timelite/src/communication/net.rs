@@ -36,11 +36,9 @@
 //!   which they push into the destination worker's local mailbox — their own,
 //!   or a sibling's, which wakes it. A write that would block reads instead,
 //!   so the socket buffers are both the bound on what is in flight and the
-//!   back-pressure. An idle worker that is its process's only one waits on
-//!   the sockets themselves (`Mesh::await_bytes`, `ppoll(2)`), so the
-//!   peer's bytes end its wait; one with siblings parks on its mailbox,
-//!   which nothing wakes when bytes reach a socket, in short slices, and
-//!   reads between them.
+//!   back-pressure. An idle worker waits on the sockets and on its
+//!   mailbox's doorbell at once ([`Allocator::wait`]), so the peer's bytes
+//!   end its wait whether or not it has siblings.
 //! * **Shutdown** ([`ClusterGuard::close`]): once its workers are done a
 //!   process half-closes every link and reads each to end-of-stream, so that
 //!   no connection is reset under frames a peer has yet to read.
@@ -51,15 +49,15 @@
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Sender};
-
 use super::allocator::{
-    decode_frame_parts, Allocator, Envelope, PeerStatus, WireFrame, WorkerSender,
+    decode_frame_parts, mailbox, Allocator, Envelope, Mailbox, PeerStatus, WireFrame, WorkerSender,
     FRAME_HEADER_BYTES, FRAME_PREFIX_BYTES,
 };
+use super::sys::PollFd;
 use super::exchange::DEFAULT_FLUSH_BUDGET;
 use crate::codec::Slab;
 
@@ -512,10 +510,13 @@ struct LinkState {
 }
 
 /// The connection to one remote process: a non-blocking socket (`&TcpStream`
-/// reads and writes) and everything about it that changes, under one lock.
+/// reads and writes) and everything about it that changes, under one lock —
+/// but for a copy of its reader's `closed`, which a wait reads without
+/// taking the lock a sibling may hold through a long write.
 struct Link {
     stream: TcpStream,
     state: Mutex<LinkState>,
+    closed: AtomicBool,
 }
 
 impl Link {
@@ -527,65 +528,11 @@ impl Link {
             write_failed: false,
             reader: LinkReader::new(),
         };
-        Ok(Link { stream, state: Mutex::new(state) })
+        Ok(Link { stream, state: Mutex::new(state), closed: AtomicBool::new(false) })
     }
 
     fn lock(&self) -> MutexGuard<'_, LinkState> {
         self.state.lock().expect("a worker panicked while driving this link")
-    }
-}
-
-/// `ppoll(2)`, the one system call the links need that `std` does not wrap:
-/// a wait on several sockets at once, with a timeout finer than `poll(2)`'s
-/// millisecond.
-#[cfg(target_os = "linux")]
-mod sys {
-    use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
-    use std::time::Duration;
-
-    /// `struct pollfd`.
-    #[repr(C)]
-    pub(super) struct PollFd {
-        pub(super) fd: c_int,
-        pub(super) events: c_short,
-        pub(super) revents: c_short,
-    }
-
-    /// `struct timespec`.
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: c_long,
-        tv_nsec: c_long,
-    }
-
-    /// `POLLIN`: there are bytes to read. End-of-stream and errors are
-    /// reported whatever is asked for.
-    pub(super) const POLLIN: c_short = 0x001;
-
-    unsafe extern "C" {
-        fn ppoll(
-            fds: *mut PollFd,
-            nfds: c_ulong,
-            timeout: *const Timespec,
-            sigmask: *const c_void,
-        ) -> c_int;
-    }
-
-    /// Blocks until one of `fds` is readable, a signal arrives or `timeout`
-    /// passes (`None`: no timeout). An fd of -1 is ignored. The result is
-    /// not reported: the caller reads its sockets after any wake, and an
-    /// interrupted call is a wake like any other.
-    pub(super) fn await_readable(fds: &mut [PollFd], timeout: Option<Duration>) {
-        let timeout = timeout.map(|timeout| Timespec {
-            tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
-            tv_nsec: timeout.subsec_nanos() as c_long,
-        });
-        let timeout = timeout.as_ref().map_or(std::ptr::null(), |timeout| timeout as *const _);
-        // SAFETY: `fds` is a live, exclusively borrowed slice of `pollfd`s of
-        // the length passed, of which the kernel writes only `revents`;
-        // `timeout` is null or points at a `timespec` that outlives the call;
-        // a null signal mask leaves the thread's mask as it is.
-        unsafe { ppoll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout, std::ptr::null()) };
     }
 }
 
@@ -598,12 +545,12 @@ mod sys {
 /// Everything about one link happens under its one lock. Frames are taken and
 /// written under it, so each sender's frames reach the wire in the order it
 /// staged them however many workers share the link; and the worker that reads
-/// routes every frame to its destination's mailbox, which wakes a sibling
+/// routes every frame to its destination's mailbox, which rings a sibling
 /// parked there exactly as a send from a local peer would.
 pub struct Mesh {
     /// Global index of this process's first worker, and its workers' mailboxes.
     first_worker: usize,
-    mailboxes: Vec<Sender<Envelope>>,
+    mailboxes: Vec<Mailbox>,
     /// The remote-peer health record the workers of this process share.
     pub(crate) status: PeerStatus,
     links: Vec<Link>,
@@ -660,41 +607,12 @@ impl Mesh {
         any
     }
 
-    /// Whether this process's worker waits on the links' sockets
-    /// ([`await_bytes`](Mesh::await_bytes)): the process hosts one worker,
-    /// and the platform is Linux. That worker's mailbox is filled by its own
-    /// sends and by the frames it reads off the links itself, so a wait on
-    /// the sockets sees every sender.
-    pub(crate) fn can_wait_on_links(&self) -> bool {
-        cfg!(target_os = "linux") && self.mailboxes.len() == 1
-    }
-
-    /// Blocks until bytes — or end-of-stream, or an error — reach a link
-    /// whose peer has not closed, a signal arrives or `timeout` passes
-    /// (`None`: no timeout). Reads nothing: the caller polls after any wake.
-    /// A closed link is left out, since its socket would report
+    /// Adds to `fds` every link whose peer has not closed, for a wait on
+    /// their bytes. A closed link is left out: its socket would report
     /// end-of-stream at once on every call and turn a wait into a spin.
-    /// Call only when [`can_wait_on_links`](Mesh::can_wait_on_links).
-    pub(crate) fn await_bytes(&self, timeout: Option<Duration>) {
-        #[cfg(target_os = "linux")]
-        {
-            use std::os::fd::AsRawFd;
-            let mut fds: Vec<sys::PollFd> = self
-                .links
-                .iter()
-                .map(|link| sys::PollFd {
-                    fd: if link.lock().reader.closed { -1 } else { link.stream.as_raw_fd() },
-                    events: sys::POLLIN,
-                    revents: 0,
-                })
-                .collect();
-            sys::await_readable(&mut fds, timeout);
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let _ = timeout;
-            unreachable!("only a process's only worker on Linux waits on its links");
-        }
+    pub(crate) fn open_links(&self, fds: &mut Vec<PollFd>) {
+        let open = self.links.iter().filter(|link| !link.closed.load(Ordering::Acquire));
+        fds.extend(open.map(|link| PollFd::socket(&link.stream)));
     }
 
     /// Reads and routes without blocking; reports a stranding failure on the
@@ -703,15 +621,17 @@ impl Mesh {
     fn read_available(&self, link: &Link, reader: &mut LinkReader) -> bool {
         let route = |envelope, to: usize| {
             let mailbox = to.checked_sub(self.first_worker).and_then(|at| self.mailboxes.get(at));
-            // A send failure means the local worker already completed its
-            // dataflows; the message is irrelevant, exactly as for local sends.
             mailbox.map(|mailbox| mailbox.send(envelope)).is_some()
         };
-        reader.read_available(&link.stream, route).unwrap_or_else(|message| {
+        let any = reader.read_available(&link.stream, route).unwrap_or_else(|message| {
             reader.closed = true;
             self.status.report_fatal(format!("cluster connection failed: {message}"));
             false
-        })
+        });
+        if reader.closed {
+            link.closed.store(true, Ordering::Release);
+        }
+        any
     }
 
     /// Writes the frames staged on link `at`, all of them, before anything
@@ -832,7 +752,7 @@ fn assemble(
 ) -> io::Result<(Vec<Allocator>, ClusterGuard)> {
     // Local mailboxes, one per local worker.
     let (mailbox_txs, mailbox_rxs): (Vec<_>, Vec<_>) =
-        (0..spec.workers_per_process).map(|_| unbounded()).unzip();
+        (0..spec.workers_per_process).map(|_| mailbox()).unzip();
 
     // One link per remote process, in process order (this process has none).
     let first = spec.first_worker();
@@ -1044,26 +964,34 @@ pub(crate) mod tests {
         }
     }
 
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn a_sole_worker_wakes_when_remote_bytes_land() {
-        // Process 1 writes a frame 20 ms into process 0's one-second wait:
-        // the bytes, not the timeout, must end it.
-        let [(mut near, _near_guard), (mut far, _far_guard)] = process_pair(1);
-        let (alloc, peer) = (near.remove(0), far.remove(0));
+    /// Process 1 writes a frame for worker `to` of process 0 20 ms into that
+    /// worker's one-second wait: the bytes, not the timeout, must end it.
+    fn wakes_when_remote_bytes_land(workers: usize, to: usize) {
+        let [(near, _near_guard), (far, _far_guard)] = process_pair(workers);
         let writer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             let payload = Payload::ProgressBytes(Slab::new(7usize.encode_to_vec()));
-            send_to(&peer.senders(), 0, Envelope { dataflow: 0, channel: 0, from: 1, payload });
-            peer.flush();
-            peer
+            let from = far[0].index();
+            send_to(&far[0].senders(), to, Envelope { dataflow: 0, channel: 0, from, payload });
+            far[0].flush();
+            far
         });
         let started = Instant::now();
-        assert!(alloc.wait(Some(Duration::from_secs(1))), "the frame did not end the wait");
+        assert!(near[to].wait(Some(Duration::from_secs(1))), "the frame did not end the wait");
         let waited = started.elapsed();
         assert!(waited < Duration::from_millis(500), "the wait took {waited:?}");
-        assert_eq!(alloc.try_recv().map(|envelope| envelope.from), Some(1));
+        assert_eq!(near[to].try_recv().map(|envelope| envelope.from), Some(workers));
         drop(writer.join().expect("writer panicked"));
+    }
+
+    #[test]
+    fn a_sole_worker_wakes_when_remote_bytes_land() {
+        wakes_when_remote_bytes_land(1, 0);
+    }
+
+    #[test]
+    fn a_parked_sibling_wakes_when_remote_bytes_land() {
+        wakes_when_remote_bytes_land(2, 1);
     }
 
     /// CPU time the calling thread has used so far.
@@ -1080,21 +1008,23 @@ pub(crate) mod tests {
     fn a_closed_link_is_left_out_of_the_wait() {
         // Once the peer's end-of-stream has been read, its socket would
         // report readable on every `ppoll`: the wait must sleep its 20 ms
-        // out, not spin through them.
-        let [(near, near_guard), far] = process_pair(1);
-        drop(far);
-        let mesh = near_guard.mesh.as_ref().expect("links");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !mesh.links[0].lock().reader.closed {
-            assert!(near[0].try_recv().is_none(), "the peer sent nothing");
-            assert!(Instant::now() < deadline, "end-of-stream never read");
-            std::thread::sleep(Duration::from_millis(1));
+        // out, not spin through them — alone in its process or not.
+        for workers in [1, 2] {
+            let [(near, near_guard), far] = process_pair(workers);
+            drop(far);
+            let mesh = near_guard.mesh.as_ref().expect("links");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !mesh.links[0].closed.load(Ordering::Acquire) {
+                assert!(near[0].try_recv().is_none(), "the peer sent nothing");
+                assert!(Instant::now() < deadline, "end-of-stream never read");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let (cpu, started) = (thread_cpu_time(), Instant::now());
+            assert!(!near[0].wait(Some(Duration::from_millis(20))), "nothing can arrive");
+            let (busy, waited) = (thread_cpu_time() - cpu, started.elapsed());
+            assert!(waited >= Duration::from_millis(20), "the wait returned after {waited:?}");
+            assert!(busy < Duration::from_millis(5), "the wait spun: {busy:?} of CPU in {waited:?}");
         }
-        let (cpu, started) = (thread_cpu_time(), Instant::now());
-        assert!(!near[0].wait(Some(Duration::from_millis(20))), "nothing can arrive");
-        let (busy, waited) = (thread_cpu_time() - cpu, started.elapsed());
-        assert!(waited >= Duration::from_millis(20), "the wait returned after {waited:?}");
-        assert!(busy < Duration::from_millis(5), "the wait spun: {busy:?} of CPU in {waited:?}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! order matches the old full sweep and observable output is unchanged).
 //! Channel flushes, durability hooks and progress harvests are likewise gated
 //! on dirty flags, so an idle dataflow costs a handful of flag checks per
-//! step and an idle *worker* parks on its mailbox's eventcount instead of
+//! step and an idle *worker* parks ([`Allocator::wait`]) instead of
 //! spin-yielding.
 //!
 //! Progress leaves with the step that made it: a step that harvested progress
@@ -26,22 +26,12 @@
 //! — the moment a peer most often owes it an acknowledgement or a frontier —
 //! waits for at most `FIRST_PARK_SLICE`, and runs one more round if an
 //! envelope arrives. Both sides of a round trip do this, so a peer's reply
-//! ends the wait at once instead of a driver's sleep. Whether a step waits
-//! depends on who its peers are:
+//! ends the wait at once instead of a driver's sleep. The wait is the same
+//! whoever the peers are: on the mailbox's doorbell, which a peer's push
+//! rings, and on the process's sockets, which the peer process's bytes wake.
 //!
-//! * **Every peer in this process:** it parks on its mailbox, which each
-//!   peer's push wakes.
-//! * **Alone in its process, with peers in others:** it waits on its sockets
-//!   (`ppoll(2)`), which the peer process's bytes wake. Linux only; elsewhere
-//!   it is the next case.
-//! * **Siblings in this process and peers in others:** it never waits. It
-//!   would park on its mailbox, and bytes reaching a socket cannot end that
-//!   park while every worker of the process is parked.
-//!
-//! A single worker has nobody to wait for and never waits either.
-//! `step_while` keeps its own policy: a spin prelude, then parks of
-//! `PARK_TIMEOUT`, which the mixed case (siblings and links) takes in
-//! doubling slices instead.
+//! A single worker has nobody to wait for and never waits. `step_while`
+//! keeps its own policy: a spin prelude, then parks of `PARK_TIMEOUT`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -55,32 +45,21 @@ use crate::progress::{ProgressUpdates, Tracker};
 use crate::schedule::SharedActivations;
 
 /// Consecutive idle `step` calls a driving loop spends yielding before it
-/// parks on the mailbox eventcount (the capped spin prelude: cheap wakeups for
+/// parks (the capped spin prelude: cheap wakeups for
 /// sub-microsecond turnarounds, a real park for genuine idleness).
 const PARK_SPIN_YIELDS: usize = 32;
 
-/// Upper bound on one mailbox park. Envelopes end a park immediately via the
-/// channel's no-lost-wakeup protocol; the timeout only bounds how stale a
+/// Upper bound on one park. Envelopes and the bytes of frames end a park at
+/// once (see [`Allocator::wait`]); the timeout only bounds how stale a
 /// `step_while` condition that depends on something other than envelopes
-/// (e.g. wall-clock pacing in the benchmark harness) can get — and how long a
-/// frame waits in a socket for a process whose workers are all parked.
+/// (e.g. wall-clock pacing in the benchmark harness) can get.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// The longest [`Worker::step`] waits for a reply after an active round (see
 /// the module docs): long enough to cover a peer's reply, short enough that a
 /// caller whose work is not in the mailbox — an input to feed, a deadline —
 /// loses at most one slice to it.
-///
-/// It is also the first park of an idle loop on a worker with both siblings
-/// and peers in other processes. Nothing wakes that park when bytes reach a
-/// socket, so a park taken a moment too early — the peer was descheduled for
-/// longer than the spin prelude — costs its whole length, and the peer, kept
-/// waiting in turn, parks as well. Each park that ends with mailbox and
-/// sockets still empty doubles the next, up to [`PARK_TIMEOUT`]: a mistaken
-/// park costs 50 µs, genuine idleness still ends up at one wake-up a
-/// millisecond. A process's only worker waits on its sockets instead and
-/// needs no slices.
-const FIRST_PARK_SLICE: Duration = Duration::from_micros(50);
+pub(crate) const FIRST_PARK_SLICE: Duration = Duration::from_micros(50);
 
 /// A type-erased executable dataflow owned by a worker.
 trait DataflowStep {
@@ -491,15 +470,13 @@ impl Worker {
     ///
     /// When that round finds nothing to do right after one that did, the
     /// step first waits up to `FIRST_PARK_SLICE` (50 µs) for the peer's
-    /// reply — on the mailbox when every peer lives in this process, on the
-    /// sockets when this worker is its process's only one; if an envelope
-    /// arrives it runs one more round and returns that round's activity. A
-    /// single worker, or one with both siblings and peers in other processes,
-    /// never waits here.
+    /// reply ([`Allocator::wait`]); if an envelope arrives it runs one more
+    /// round and returns that round's activity. A single worker never waits
+    /// here.
     pub fn step(&mut self) -> bool {
         let after_active = self.last_round_active;
         let active = self.round();
-        if active || !after_active || self.peers() == 1 || !self.alloc.wait_sees_every_sender() {
+        if active || !after_active || self.peers() == 1 {
             return active;
         }
         self.alloc.wait(Some(FIRST_PARK_SLICE)) && self.round()
@@ -535,22 +512,18 @@ impl Worker {
 
     /// Parks an idle driving loop: a capped spin prelude of yields (cheap
     /// sub-microsecond turnarounds), then a bounded [`Allocator::wait`]
-    /// (~0 CPU while genuinely idle) — in doubling slices where that wait
-    /// cannot see every sender (see `FIRST_PARK_SLICE`). `idle_streak` counts
-    /// the consecutive idle steps seen by the caller.
+    /// (~0 CPU while genuinely idle). `idle_streak` counts the consecutive
+    /// idle steps seen by the caller.
     fn idle_wait(&self, idle_streak: usize) {
         if idle_streak <= PARK_SPIN_YIELDS {
             std::thread::yield_now();
-        } else if !self.alloc.wait_sees_every_sender() {
-            let doublings = (idle_streak - PARK_SPIN_YIELDS - 1).min(8);
-            self.alloc.wait(Some((FIRST_PARK_SLICE * (1 << doublings)).min(PARK_TIMEOUT)));
         } else {
             self.alloc.wait(Some(PARK_TIMEOUT));
         }
     }
 
     /// Steps the worker while `condition` returns `true`; an idle worker
-    /// parks on its mailbox (after a capped spin prelude) instead of
+    /// parks (after a capped spin prelude) instead of
     /// busy-yielding. The rounds run back to back: the prelude, not
     /// [`step`](Worker::step)'s wait for a reply, covers a peer's turnaround.
     pub fn step_while(&mut self, mut condition: impl FnMut() -> bool) {
@@ -594,8 +567,8 @@ impl Worker {
             .collect()
     }
 
-    /// Steps the worker until every dataflow completes; idle waits park on
-    /// the mailbox eventcount.
+    /// Steps the worker until every dataflow completes; idle waits park
+    /// (see [`step_while`](Worker::step_while)).
     pub fn step_until_complete(&mut self) {
         let mut idle_streak = 0usize;
         while !self.dataflows_complete() {
@@ -815,14 +788,13 @@ mod tests {
         );
     }
 
-    /// A process's only worker waits for the reply on its sockets: with a
-    /// peer process that never answers (its worker is never stepped), the
-    /// idle step after an active one waits out one `FIRST_PARK_SLICE`, then
-    /// reports nothing done.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn a_sole_worker_with_links_waits_one_slice_for_a_silent_remote_peer() {
-        let [(mut near, _near_guard), _far] = process_pair(1);
+    /// A worker with peers in another process waits for the reply on its
+    /// sockets: with a peer process that never answers (its workers are
+    /// never stepped), the idle step after an active one waits out one
+    /// `FIRST_PARK_SLICE`, then reports nothing done — whether or not the
+    /// worker has a sibling in its own process.
+    fn waits_one_slice_for_a_silent_remote_peer(workers_per_process: usize) {
+        let [(mut near, _near_guard), _far] = process_pair(workers_per_process);
         let mut worker = Worker::new(near.remove(0));
         let mut input = input_to_probe(&mut worker);
         while worker.step() {}
@@ -834,24 +806,13 @@ mod tests {
         );
     }
 
-    /// A worker with siblings would park on its mailbox, which bytes reaching
-    /// a socket cannot wake, so with peers in other processes as well it
-    /// never waits inside `step`.
     #[test]
-    fn a_worker_with_siblings_and_links_never_parks_in_step() {
-        let [(mut near, _near_guard), _far] = process_pair(2);
-        let mut worker = Worker::new(near.remove(0));
-        let mut input = input_to_probe(&mut worker);
-        while worker.step() {}
-        // Each pair writes a progress frame to each of the two remote
-        // workers, which never read: keep them well inside the socket
-        // buffers.
-        let pairs = PAIRS / 20;
-        let mut idle = Duration::ZERO;
-        for time in 1..=u64::from(pairs) {
-            input.advance_to(time);
-            idle += time_first_idle_step(&mut worker);
-        }
-        assert!(idle < FIRST_PARK_SLICE * pairs / 2, "{pairs} idle-after-active steps took {idle:?}");
+    fn a_sole_worker_with_links_waits_one_slice_for_a_silent_remote_peer() {
+        waits_one_slice_for_a_silent_remote_peer(1);
+    }
+
+    #[test]
+    fn a_worker_with_siblings_and_links_waits_one_slice_for_a_silent_remote_peer() {
+        waits_one_slice_for_a_silent_remote_peer(2);
     }
 }

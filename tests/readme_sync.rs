@@ -308,7 +308,7 @@ fn readme_documents_the_data_plane() {
         "MAX_READ_REGION_BYTES",
         "broadcast_encodes_each_record_exactly_once",
         "Vyukov",
-        "sleepers",
+        "doorbell",
         "queue-stress",
         "QUEUE_STRESS_ITERS",
         "saturation.rs",
@@ -487,10 +487,10 @@ fn readme_documents_scheduling() {
     ] {
         assert!(worker.contains(test), "`{test}`, named by README, vanished from timelite::worker");
     }
-    let channel = read("vendor/crossbeam-channel/src/lib.rs");
+    let allocator = read("crates/timelite/src/communication/allocator.rs");
     assert!(
-        channel.contains("seeded_park_wake_stress_loses_no_wakeups"),
-        "the park/wake stress test vanished from the vendored channel"
+        allocator.contains("fn seeded_park_wake_stress_loses_no_wakeups"),
+        "the park/wake stress test vanished from timelite's allocator"
     );
 }
 
