@@ -484,13 +484,20 @@ impl StorageBackend for DurableBackend {
 
     fn commit(&mut self, bin: u64, total_bytes: u64) -> Result<(), StorageError> {
         self.fallible(|backend| {
+            // A commit the log disagrees with would fail every later open:
+            // refuse it before it is written.
+            let logged = backend.pending.get(&bin).copied().unwrap_or_default();
+            if logged != total_bytes {
+                return Err(StorageError::Corrupt(format!(
+                    "bin {bin} commit claims {total_bytes} bytes, log holds {logged}"
+                )));
+            }
             backend.wal.append_all([WalEntry::Commit { bin, total_bytes }])?;
             backend.wal.sync()?;
             // The fragments and this record in the log are the committed
             // image until the next checkpoint; a tombstone of an earlier
             // retire keeps masking whatever older image the tables hold.
-            let logged = backend.pending.remove(&bin).unwrap_or_default();
-            debug_assert_eq!(logged, total_bytes, "pending bytes mismatch bin {bin}");
+            backend.pending.remove(&bin);
             Ok(())
         })
     }
@@ -754,6 +761,23 @@ mod tests {
         let (_, recovery) = open(&dir);
         assert!(recovery.committed.is_empty());
         assert_eq!(recovery.partial, vec![(9u64, vec![vec![1, 2, 3], vec![4]])]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_commit_the_log_disagrees_with_is_refused_unwritten() {
+        let dir = temp_dir("bad-commit");
+        {
+            let (mut backend, _) = open(&dir);
+            backend.append_fragments(&[(6, &[1, 2, 3], false)]).expect("append");
+            let records = backend.stats().wal_records;
+            assert!(matches!(backend.commit(6, 5), Err(StorageError::Corrupt(_))));
+            assert_eq!(backend.stats().wal_records, records, "nothing was appended");
+            assert!(matches!(backend.commit(6, 3), Err(StorageError::Poisoned)));
+        }
+        let (_, recovery) = open(&dir);
+        assert!(recovery.committed.is_empty());
+        assert_eq!(recovery.partial, vec![(6u64, vec![vec![1, 2, 3]])]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

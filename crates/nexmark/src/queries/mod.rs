@@ -95,14 +95,22 @@ impl QueryOutput {
     }
 }
 
-/// Splits the event stream into its person, auction and bid components.
-pub fn split(
-    events: &Stream<Time, Event>,
-) -> (Stream<Time, Person>, Stream<Time, Auction>, Stream<Time, Bid>) {
-    let persons = events.flat_map(|event: Event| event.person());
-    let auctions = events.flat_map(|event: Event| event.auction());
-    let bids = events.flat_map(|event: Event| event.bid());
-    (persons, auctions, bids)
+// Every consumer of the event stream but the last receives a deep clone of
+// each batch, so a query takes only the components it reads.
+
+/// The person component of the event stream.
+pub fn persons(events: &Stream<Time, Event>) -> Stream<Time, Person> {
+    events.flat_map(|event: Event| event.person())
+}
+
+/// The auction component of the event stream.
+pub fn auctions(events: &Stream<Time, Event>) -> Stream<Time, Auction> {
+    events.flat_map(|event: Event| event.auction())
+}
+
+/// The bid component of the event stream.
+pub fn bids(events: &Stream<Time, Event>) -> Stream<Time, Bid> {
+    events.flat_map(|event: Event| event.bid())
 }
 
 /// The set of queries, by name, for experiment drivers.

@@ -3,11 +3,11 @@
 use timelite::prelude::*;
 
 use crate::event::Event;
-use crate::queries::{split, QueryOutput, Time};
+use crate::queries::{bids, QueryOutput, Time};
 
 /// Reports bids on a fixed subset of auctions.
 pub fn q2(events: &Stream<Time, Event>) -> QueryOutput {
-    let (_persons, _auctions, bids) = split(events);
+    let bids = bids(events);
     let selected = bids
         .filter(|bid| bid.auction % 123 == 0)
         .map(|bid| format!("auction={} price={}", bid.auction, bid.price));

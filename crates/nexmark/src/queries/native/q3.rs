@@ -7,11 +7,11 @@ use timelite::hashing::hash_code;
 use timelite::prelude::*;
 
 use crate::event::Event;
-use crate::queries::{split, QueryOutput, Time};
+use crate::queries::{auctions, persons, QueryOutput, Time};
 
 /// Builds Q3 on plain timelite operators.
 pub fn q3(events: &Stream<Time, Event>) -> QueryOutput {
-    let (persons, auctions, _bids) = split(events);
+    let (persons, auctions) = (persons(events), auctions(events));
     let auctions = auctions.filter(|auction| auction.category == 10);
     let persons = persons.filter(|person| matches!(person.state.as_str(), "OR" | "ID" | "CA"));
 

@@ -8,7 +8,7 @@ use timelite::hashing::hash_code;
 use timelite::prelude::*;
 
 use crate::event::Event;
-use crate::queries::{split, QueryOutput, Time};
+use crate::queries::{auctions, bids, QueryOutput, Time};
 
 /// Per-auction accumulation: `(category_or_seller, reserve, best bid)`.
 type Open = (u64, u64, u64);
@@ -18,7 +18,7 @@ pub fn native_closed_auctions(
     events: &Stream<Time, Event>,
     select_seller: bool,
 ) -> Stream<Time, (u64, u64)> {
-    let (_persons, auctions, bids) = split(events);
+    let (auctions, bids) = (auctions(events), bids(events));
     let auction_records = auctions.map(move |auction| {
         let key = if select_seller { auction.seller } else { auction.category };
         (auction.id, 0u64, key, auction.reserve, auction.expires)

@@ -12,11 +12,11 @@ use timelite::hashing::hash_code;
 use timelite::prelude::*;
 
 use crate::event::Event;
-use crate::queries::{split, QueryOutput, Time, Q5_LATENESS_MS, Q5_SLIDE_MS, Q5_WINDOW_MS};
+use crate::queries::{bids, QueryOutput, Time, Q5_LATENESS_MS, Q5_SLIDE_MS, Q5_WINDOW_MS};
 
 /// Builds Q5 on plain timelite operators.
 pub fn q5(events: &Stream<Time, Event>) -> QueryOutput {
-    let (_persons, _auctions, bids) = split(events);
+    let bids = bids(events);
     let keyed = bids.map(|bid| (bid.auction, bid.date_time));
 
     let counts = keyed.unary_frontier(

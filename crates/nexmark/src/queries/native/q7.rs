@@ -8,11 +8,11 @@ use timelite::hashing::hash_code;
 use timelite::prelude::*;
 
 use crate::event::Event;
-use crate::queries::{split, QueryOutput, Time, Q7_WINDOW_MS};
+use crate::queries::{bids, QueryOutput, Time, Q7_WINDOW_MS};
 
 /// Builds Q7 on plain timelite operators.
 pub fn q7(events: &Stream<Time, Event>) -> QueryOutput {
-    let (_persons, _auctions, bids) = split(events);
+    let bids = bids(events);
     let keyed = bids.map(|bid| (bid.date_time / Q7_WINDOW_MS, bid.price, bid.auction));
 
     let maxima = keyed.unary_frontier(

@@ -7,11 +7,11 @@ use timelite::hashing::hash_code;
 use timelite::prelude::*;
 
 use crate::event::Event;
-use crate::queries::{split, QueryOutput, Time, Q8_WINDOW_MS};
+use crate::queries::{auctions, persons, QueryOutput, Time, Q8_WINDOW_MS};
 
 /// Builds Q8 on plain timelite operators.
 pub fn q8(events: &Stream<Time, Event>) -> QueryOutput {
-    let (persons, auctions, _bids) = split(events);
+    let (persons, auctions) = (persons(events), auctions(events));
 
     let joined = persons.binary_frontier(
         &auctions,

@@ -2,12 +2,12 @@
 
 use timelite::prelude::*;
 
-use super::{split, QueryOutput, Time};
+use super::{bids, QueryOutput, Time};
 use crate::event::Event;
 
 /// Reports bids on a fixed subset of auctions (auction id divisible by 123).
 pub fn q2(events: &Stream<Time, Event>) -> QueryOutput {
-    let (_persons, _auctions, bids) = split(events);
+    let bids = bids(events);
     let selected = bids
         .filter(|bid| bid.auction % 123 == 0)
         .map(|bid| format!("auction={} price={}", bid.auction, bid.price));

@@ -7,7 +7,7 @@ use megaphone::prelude::*;
 use timelite::hashing::{hash_code, FxHashMap};
 use timelite::prelude::*;
 
-use super::{split, QueryOutput, Time};
+use super::{auctions, persons, QueryOutput, Time};
 use crate::event::{Auction, Event, Person};
 
 /// Per-bin join state, keyed by seller id: the seller's details (if seen) and
@@ -20,7 +20,7 @@ pub fn q3(
     control: &Stream<Time, ControlInst>,
     events: &Stream<Time, Event>,
 ) -> QueryOutput {
-    let (persons, auctions, _bids) = split(events);
+    let (persons, auctions) = (persons(events), auctions(events));
     let auctions = auctions.filter(|auction| auction.category == 10);
     let persons =
         persons.filter(|person| matches!(person.state.as_str(), "OR" | "ID" | "CA"));

@@ -10,7 +10,7 @@ use megaphone::prelude::*;
 use timelite::hashing::{hash_code, FxHashMap};
 use timelite::prelude::*;
 
-use super::{split, QueryOutput, Time};
+use super::{auctions, bids, QueryOutput, Time};
 use crate::event::Event;
 
 /// Per-bin state, keyed by auction id: `(category, reserve, best_bid, seller)`.
@@ -29,7 +29,7 @@ pub fn closed_auctions(
     events: &Stream<Time, Event>,
     select_seller: bool,
 ) -> StatefulOutput<Time, (u64, u64)> {
-    let (_persons, auctions, bids) = split(events);
+    let (auctions, bids) = (auctions(events), bids(events));
     let auction_records = auctions.map(move |auction| {
         (auction.id, 0u64, auction.category, auction.reserve, auction.expires, auction.seller)
     });

@@ -24,7 +24,7 @@ use megaphone::prelude::*;
 use timelite::hashing::{hash_code, FxHashMap};
 use timelite::prelude::*;
 
-use super::{split, QueryOutput, Time, Q5_LATENESS_MS, Q5_SLIDE_MS, Q5_WINDOW_MS};
+use super::{bids, QueryOutput, Time, Q5_LATENESS_MS, Q5_SLIDE_MS, Q5_WINDOW_MS};
 use crate::event::Event;
 
 /// Per-bin state, keyed by auction id: bid counts per slide index. The entry
@@ -332,7 +332,7 @@ pub fn q5(
     control: &Stream<Time, ControlInst>,
     events: &Stream<Time, Event>,
 ) -> QueryOutput {
-    let (_persons, _auctions, bids) = split(events);
+    let bids = bids(events);
     let bid_records = bids.map(|bid| (bid.auction, bid.date_time));
 
     // Stage 1: per-auction sliding-window counts.

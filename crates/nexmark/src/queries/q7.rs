@@ -8,7 +8,7 @@ use megaphone::prelude::*;
 use timelite::hashing::{hash_code, FxHashMap};
 use timelite::prelude::*;
 
-use super::{split, QueryOutput, Time, Q7_WINDOW_MS};
+use super::{bids, QueryOutput, Time, Q7_WINDOW_MS};
 use crate::event::Event;
 
 /// Builds Q7 with Megaphone operators.
@@ -17,7 +17,7 @@ pub fn q7(
     control: &Stream<Time, ControlInst>,
     events: &Stream<Time, Event>,
 ) -> QueryOutput {
-    let (_persons, _auctions, bids) = split(events);
+    let bids = bids(events);
     let keyed = bids.map(|bid| (bid.date_time / Q7_WINDOW_MS, (bid.price, bid.auction)));
 
     let output = stateful_unary::<_, (u64, (u64, u64)), FxHashMap<u64, (u64, u64, bool)>, String, _, _>(

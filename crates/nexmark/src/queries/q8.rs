@@ -17,7 +17,7 @@ use megaphone::prelude::*;
 use timelite::hashing::{hash_code, FxHashMap};
 use timelite::prelude::*;
 
-use super::{split, QueryOutput, Time, Q8_LATENESS_MS, Q8_WINDOW_MS};
+use super::{auctions, persons, QueryOutput, Time, Q8_LATENESS_MS, Q8_WINDOW_MS};
 use crate::event::{Auction, Event, Person};
 
 /// The windows of the auctions a seller opened before registering.
@@ -193,7 +193,7 @@ pub fn q8(
     control: &Stream<Time, ControlInst>,
     events: &Stream<Time, Event>,
 ) -> QueryOutput {
-    let (persons, auctions, _bids) = split(events);
+    let (persons, auctions) = (persons(events), auctions(events));
 
     let output = stateful_binary::<_, Person, Auction, Q8State, String, _, _, _>(
         config,

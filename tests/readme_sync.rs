@@ -263,6 +263,8 @@ fn readme_documents_durability() {
         "A commit is sealed in the WAL and nowhere else",
         "spill flushes and checkpoints only",
         "Install-path copy inventory",
+        "PCLMULQDQ folding kernel",
+        "Platform fast paths",
         "WalEntry::Fragment",
         "StorageError::Corrupt",
         "pending_install_bytes",
@@ -288,6 +290,10 @@ fn readme_documents_durability() {
     assert!(
         wal.contains("pub type WalEntry") && wal.contains("const CRC_SLICES: usize = 16;"),
         "the borrowed WAL writer or its CRC slicing changed — update this test and README"
+    );
+    assert!(
+        wal.contains("mod clmul") && wal.contains("is_x86_feature_detected!(\"pclmulqdq\")"),
+        "the WAL's CLMUL checksum kernel changed — update this test and README"
     );
 }
 
