@@ -358,10 +358,11 @@ impl<T: Timestamp, S: ChunkedCodec, D: Codec> ChunkedCodec for Bin<T, S, D> {
 /// Observed load of one bin: how many records its fold has applied since the
 /// bin was (re-)hosted here, and an approximation of its encoded size.
 ///
-/// `bytes` is exact right after a migration installs the bin (the sum of its
-/// fragment sizes) and drifts afterwards as updates are folded in; it is an
-/// *estimate*, good for relative comparisons between bins, not an accounting
-/// of heap use.
+/// `bytes` is exact right after a fragmented migration installs the bin (the
+/// sum of its fragment sizes) and drifts afterwards as updates are folded in;
+/// a handover within the process carries the estimate along unchanged. It is
+/// an *estimate*, good for relative comparisons between bins, not an
+/// accounting of heap use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BinLoad {
     /// Records folded into the bin since it was last (re-)hosted.
@@ -772,8 +773,7 @@ impl<T, S, D> BinStore<T, S, D> {
         taken
     }
 
-    /// Installs `bin` received through a migration (or re-installed after a
-    /// self-migration).
+    /// Installs `bin` received through a migration.
     ///
     /// # Panics
     ///
@@ -785,6 +785,24 @@ impl<T, S, D> BinStore<T, S, D> {
         self.shards[shard].slots[slot] = Some(contents);
         self.shards[shard].hosted += 1;
         self.hosted += 1;
+    }
+
+    /// Removes `bin` with its load, for a handover to a worker of this
+    /// process: [`BinStore::adopt`] there installs both as they are.
+    pub fn take_with_load(&mut self, bin: BinId) -> Option<(Bin<T, S, D>, BinLoad)> {
+        let load = self.load(bin);
+        self.extract(bin).map(|contents| (contents, load))
+    }
+
+    /// Installs a bin handed over by [`BinStore::take_with_load`], keeping the
+    /// load it had at its previous owner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bin is already hosted, like [`BinStore::install`].
+    pub fn adopt(&mut self, bin: BinId, contents: Bin<T, S, D>, load: BinLoad) {
+        self.install(bin, contents);
+        self.set_load(bin, load);
     }
 
     /// Records `records` fold applications against `bin`, growing its
@@ -799,8 +817,7 @@ impl<T, S, D> BinStore<T, S, D> {
         self.tracked.bytes += approx_bytes;
     }
 
-    /// Overwrites `bin`'s load accounting — used to carry the load across a
-    /// self-migration, whose extract() clears it.
+    /// Overwrites `bin`'s load accounting.
     pub fn set_load(&mut self, bin: BinId, load: BinLoad) {
         let (shard, slot) = (self.shard_of(bin), self.slot_of(bin));
         let old = std::mem::replace(&mut self.shards[shard].loads[slot], load);
@@ -1456,14 +1473,35 @@ mod tests {
         let config = MegaphoneConfig::new(2);
         let mut store: BinStore<u64, u64, ()> = BinStore::new(&config, 0, 1);
         store.note_records(1, 42, 336);
-        // The extract+install round trip of a self-migration clears the load;
-        // set_load restores the snapshot taken beforehand.
+        // An extract+install round trip clears the load; set_load restores
+        // the snapshot taken beforehand.
         let load = store.load(1);
         let contents = store.extract(1).expect("hosted");
         store.install(1, contents);
         assert_eq!(store.load(1), BinLoad::default());
         store.set_load(1, load);
         assert_eq!(store.load(1), BinLoad { records: 42, bytes: 336 });
+    }
+
+    #[test]
+    fn handover_round_trip_preserves_load_exactly() {
+        let config = MegaphoneConfig::new(2);
+        let mut first: BinStore<u64, u64, ()> = BinStore::new(&config, 0, 1);
+        let mut second: BinStore<u64, u64, ()> = BinStore::empty(4);
+        first.note_records(1, 42, 336);
+        let before = first.load(1);
+        let (contents, load) = first.take_with_load(1).expect("hosted");
+        assert_eq!(first.tracked_bytes(), 0);
+        second.adopt(1, contents, load);
+        assert_eq!(second.load(1), before);
+        assert_eq!(second.tracked_bytes(), 336);
+        let (contents, load) = second.take_with_load(1).expect("adopted");
+        first.adopt(1, contents, load);
+        assert_eq!(first.load(1), BinLoad { records: 42, bytes: 336 });
+        assert_eq!(first.stats().total_records(), 42);
+        assert_eq!(first.tracked_bytes(), 336);
+        assert_eq!(second.tracked_bytes(), 0);
+        assert!(first.take_with_load(1).is_some() && first.take_with_load(1).is_none());
     }
 
     #[test]
@@ -1498,11 +1536,9 @@ mod tests {
         let extraction = store.extract_chunked(0).expect("hosted");
         assert_eq!(store.tracked_bytes(), 16);
         store.recycle(extraction);
-        // …self-migration round trips preserve it via set_load…
-        let load = store.load(3);
-        let contents = store.extract(3).expect("hosted");
-        store.install(3, contents);
-        store.set_load(3, load);
+        // …handover round trips preserve it…
+        let (contents, load) = store.take_with_load(3).expect("hosted");
+        store.adopt(3, contents, load);
         assert_eq!(store.tracked_bytes(), 16);
         // …and a fragment install adds the exact migrated byte count.
         let mut other: BinStore<u64, Vec<u64>, (u64, u64)> = BinStore::empty(8);
@@ -1837,8 +1873,8 @@ mod tests {
 
     #[test]
     fn plain_extract_keeps_the_bin_durable_for_self_migration() {
-        // A self-migration is extract + install on the same worker; it must
-        // NOT retire the stored image, or a crash after it would lose the bin.
+        // Extract + install on the same worker must NOT retire the stored
+        // image, or a crash after it would lose the bin.
         let config = MegaphoneConfig::new(2).with_chunk_bytes(64);
         let durable = durable_config("selfmig");
         let bin: Bin<u64, Vec<u64>, (u64, u64)> = Bin { state: vec![4, 5], pending: Vec::new() };

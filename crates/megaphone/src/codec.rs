@@ -2,16 +2,17 @@
 //! with `timelite`'s cluster transport, which frames the same byte format over
 //! TCP) plus the *incremental* chunked encoding used to stream large bins.
 //!
-//! When Megaphone migrates a bin between workers it serializes the bin's state
-//! and pending records into a byte buffer, ships the bytes over a regular
-//! dataflow channel and reconstructs the objects on the receiving worker
-//! (Section 4.1 of the paper: "the state object is converted into a stream of
-//! serialized tuples"). Serializing — rather than handing over pointers — is
-//! what gives migration its cost, and what the memory experiment (Figure 20)
-//! measures. The base trait and its primitive/collection implementations live
-//! in [`timelite::codec`] so the cluster transport speaks the identical
-//! format; this module re-exports them and adds the chunked-fragment protocol
-//! on top.
+//! When Megaphone migrates a bin to a worker of another process, or out of a
+//! durable store, it serializes the bin's state and pending records into a
+//! byte buffer, ships the bytes over a regular dataflow channel and
+//! reconstructs the objects on the receiving worker (Section 4.1 of the paper:
+//! "the state object is converted into a stream of serialized tuples").
+//! Serializing is what gives such a migration its cost. A bin moving to a
+//! worker of the same process is handed over as the objects themselves and
+//! never touches this module. The base trait and its primitive/collection
+//! implementations live in [`timelite::codec`] so the cluster transport speaks
+//! the identical format; this module re-exports them and adds the
+//! chunked-fragment protocol on top.
 //!
 //! Sequences of fixed-width values are moved in bulk here too. A `Vec<T>` whose
 //! items all encode to [`Codec::WIDTH`] bytes is fragmented and reassembled on

@@ -8,8 +8,11 @@
 //!   their time, buffering records whose configuration is not yet certain, and
 //!   initiates migrations: once the downstream output frontier shows that all
 //!   records before a configuration time have been absorbed, F extracts the
-//!   affected bins from the worker-local store, serializes them, and ships them
-//!   to their new owner over a regular dataflow channel.
+//!   affected bins from the worker-local store and ships them to their new
+//!   owner over a regular dataflow channel. A bin whose new owner runs in this
+//!   process moves as the [`Bin`] itself, with its load: nothing is encoded,
+//!   copied or decoded. A bin bound for another process, or leaving a durable
+//!   store, is serialized and streams out as bounded-size fragments.
 //! * **S** hosts the bins. It installs migrated state immediately and applies
 //!   data records in timestamp order once their time has been passed by both
 //!   its data and its state input frontier, invoking the user's fold logic
@@ -31,8 +34,8 @@ use timelite::order::{Timestamp, TotalOrder};
 use timelite::Data;
 
 use crate::bins::{
-    shared_bin_store_with_storage, take_due, Bin, BinId, BinStats, BinStore, ChunkedExtraction,
-    MegaphoneConfig, StateFragment, StatsHandle,
+    shared_bin_store_with_storage, take_due, Bin, BinId, BinLoad, BinStats, BinStore,
+    ChunkedExtraction, MegaphoneConfig, StateFragment, StatsHandle,
 };
 use crate::codec::{ChunkedCodec, Codec};
 use crate::control::ControlInst;
@@ -50,15 +53,62 @@ impl<T: Timestamp + TotalOrder + Codec> MegaphoneTime for T {}
 pub trait MegaphoneData: Data + Codec {}
 impl<D: Data + Codec> MegaphoneData for D {}
 
-/// Requirements on per-bin state: incrementally encodable so migrations ship
-/// it as bounded-size fragments rather than one monolithic buffer.
-pub trait MegaphoneState: Default + ChunkedCodec + 'static {}
-impl<S: Default + ChunkedCodec + 'static> MegaphoneState for S {}
+/// Requirements on per-bin state: incrementally encodable so migrations to
+/// another process ship it as bounded-size fragments rather than one
+/// monolithic buffer, and `Send` so a migration within the process hands the
+/// state itself to the worker thread that adopts it.
+pub trait MegaphoneState: Default + ChunkedCodec + Send + 'static {}
+impl<S: Default + ChunkedCodec + Send + 'static> MegaphoneState for S {}
 
 /// A record produced by F for S: `(destination worker, key hash, record)`.
 type Routed<D> = (u64, u64, D);
-/// A migration fragment produced by F for S: `(destination worker, fragment)`.
-type Migrated = (u64, StateFragment);
+/// A migration message produced by F for S: `(destination worker, migration)`.
+type Migrated<T, S, D> = (u64, Migration<T, S, D>);
+
+/// How a bin travels from F to the S of its new owner.
+enum Migration<T, S, D> {
+    /// One encoded fragment of a bin whose new owner runs in another process,
+    /// or which leaves a durable store (whose new owner logs the bin's image
+    /// before the bin becomes visible).
+    Fragment(StateFragment),
+    /// A whole bin with its load, handed to a worker of this process.
+    Handover {
+        /// The bin being moved.
+        bin: BinId,
+        /// The bin's state and pending records, moved as they are.
+        contents: Bin<T, S, D>,
+        /// The load the bin had at its previous owner.
+        load: BinLoad,
+    },
+}
+
+// F hands a bin over only to a worker of its own process, over a channel S
+// alone consumes: the channel neither encodes nor clones a handover, so both
+// arms below are unreachable. A fragment encodes exactly as a bare
+// `StateFragment`, so the wire format is that of the fragments alone.
+impl<T, S, D> Clone for Migration<T, S, D> {
+    fn clone(&self) -> Self {
+        match self {
+            Migration::Fragment(fragment) => Migration::Fragment(fragment.clone()),
+            Migration::Handover { bin, .. } => unreachable!("bin {bin} cloned in a handover"),
+        }
+    }
+}
+
+impl<T, S, D> Codec for Migration<T, S, D> {
+    fn encode(&self, bytes: &mut Vec<u8>) {
+        match self {
+            Migration::Fragment(fragment) => fragment.encode(bytes),
+            Migration::Handover { bin, .. } => {
+                unreachable!("bin {bin} handed over to another process")
+            }
+        }
+    }
+    fn decode(bytes: &mut &[u8]) -> Self {
+        Migration::Fragment(StateFragment::decode(bytes))
+    }
+}
+
 /// The queue of in-progress outgoing migrations held by one F instance: the
 /// capability of the migration's control time, the destination worker, and the
 /// extraction streaming the bin's fragments.
@@ -119,7 +169,13 @@ impl<T: Timestamp, O: Data> StatefulOutput<T, O> {
 /// against a flat pending list.
 ///
 /// Migration is transparent to `fold`: the same bin state appears at the new
-/// worker, with pending records intact.
+/// worker, with pending records intact. A bin moving to a worker of this
+/// process travels as the [`Bin`] itself, with its [`BinLoad`]: the migration
+/// costs a pointer move, whatever the state's size. A bin moving to another
+/// process, or out of a durable store, is encoded and streams out in fragments
+/// of `config.chunk_bytes`, a bounded number of bytes per scheduling round; a
+/// durable store takes this path even within the process, because its new
+/// owner must log the bin's image before the bin becomes visible.
 pub fn stateful_unary<T, D, S, O, H, F>(
     config: MegaphoneConfig,
     control: &Stream<T, ControlInst>,
@@ -169,6 +225,13 @@ where
         });
     }
 
+    // The workers F hands bins to as objects: those of this process, unless
+    // this store is durable. Every other move ships encoded fragments.
+    let durable = store.borrow().has_backend();
+    let hand_over: Vec<bool> = scope.with_builder(|builder| {
+        builder.senders().iter().map(|sender| !durable && !sender.is_remote()).collect()
+    });
+
     // Probe on the S output frontier, monitored by F to time migrations.
     let mut probe = ProbeHandle::new();
 
@@ -183,7 +246,7 @@ where
     let mut f_data_in = f_builder.new_input(data, Pact::Pipeline);
     let mut f_control_in = f_builder.new_input(control, Pact::Broadcast);
     let (mut f_data_out, routed_stream) = f_builder.new_output::<Routed<D>>();
-    let (mut f_state_out, migrated_stream) = f_builder.new_output::<Migrated>();
+    let (mut f_state_out, migrated_stream) = f_builder.new_output::<Migrated<T, S, D>>();
 
     let f_store = store.clone();
     let f_departed = departed.clone();
@@ -266,21 +329,26 @@ where
                         ControlInst::None => {}
                     }
                 }
+                // A bin moved twice at one time goes where its last move
+                // sends it, as in the routing table.
+                moves.reverse();
+                moves.sort_by_key(|&(bin, _)| bin);
+                moves.dedup_by_key(|&mut (bin, _)| bin);
+                let mut handed_over = f_state_out.session(&capability);
                 for (bin, target) in moves {
                     // Only the worker currently hosting the bin extracts and
                     // ships it; everyone else only updates its routing table
-                    // (already done in step 1).
+                    // (already done in step 1). A bin that stays where it is
+                    // does not move at all.
                     if target == worker_index {
-                        // A self-migration keeps the bin in place: re-install
-                        // without the encode round trip, preserving the load
-                        // accounting that extract() clears. A spilled bin
-                        // stays spilled — its durable image already is its
-                        // post-migration contents.
-                        let mut store = f_store.borrow_mut();
-                        let load = store.load(bin);
-                        if let Some(contents) = store.extract(bin) {
-                            store.install(bin, contents);
-                            store.set_load(bin, load);
+                        continue;
+                    }
+                    if hand_over[target] {
+                        let taken = f_store.borrow_mut().take_with_load(bin);
+                        if let Some((contents, load)) = taken {
+                            f_departed.borrow_mut().push(bin);
+                            handed_over
+                                .give((target as u64, Migration::Handover { bin, contents, load }));
                         }
                     } else {
                         let extraction = f_store.borrow_mut().extract_chunked(bin);
@@ -309,10 +377,8 @@ where
                 loop {
                     let (bytes, last) = extraction.next_fragment(config.chunk_bytes);
                     budget = budget.saturating_sub(bytes.len().max(1));
-                    session.give((
-                        target,
-                        StateFragment { bin: extraction.bin() as u64, bytes, last },
-                    ));
+                    let fragment = StateFragment { bin: extraction.bin() as u64, bytes, last };
+                    session.give((target, Migration::Fragment(fragment)));
                     if last || budget == 0 {
                         break;
                     }
@@ -345,8 +411,14 @@ where
         // Fragments are kilobytes of payload behind a thin header: give the
         // channel a real byte estimate so the adaptive flush budget sees them.
         Pact::exchange_sized(
-            |m: &Migrated| m.0,
-            |m: &Migrated| std::mem::size_of::<Migrated>() + m.1.bytes.len(),
+            |m: &Migrated<T, S, D>| m.0,
+            |m: &Migrated<T, S, D>| {
+                std::mem::size_of::<Migrated<T, S, D>>()
+                    + match &m.1 {
+                        Migration::Fragment(fragment) => fragment.bytes.len(),
+                        Migration::Handover { .. } => 0,
+                    }
+            },
         ),
     );
     let (mut s_output, output_stream) = s_builder.new_output::<O>();
@@ -401,21 +473,37 @@ where
                 }
             }
 
-            // Absorb migration fragments immediately; a bin is installed once
-            // its final fragment arrives, registering one wake-up per run of
-            // pending records it carried. Decoding happens fragment by fragment,
-            // so a multi-megabyte bin never triggers one monolithic decode stall.
-            // A durable store logs a whole batch with one vectored append.
+            // Absorb migrations immediately. A handed-over bin is adopted as
+            // it arrives; a fragmented bin is installed once its final
+            // fragment arrives. Either way S registers one wake-up per run of
+            // pending records the bin carried. Decoding happens fragment by
+            // fragment, so a multi-megabyte bin never triggers one monolithic
+            // decode stall. A durable store logs a whole batch with one
+            // vectored append.
             s_state_in.for_each(|capability, migrations| {
-                let batch: Vec<_> = migrations
+                let mut store = s_store.borrow_mut();
+                let mut fragments = Vec::new();
+                for (_target, migration) in migrations {
+                    match migration {
+                        Migration::Fragment(fragment) => fragments.push(fragment),
+                        Migration::Handover { bin, contents, load } => {
+                            assert!(
+                                !store.has_backend(),
+                                "bin {bin} handed over to a durable store: the workers of one \
+                                 process must share their storage configuration"
+                            );
+                            wakeups.register_runs(bin, &contents.pending, &capability);
+                            store.adopt(bin, contents, load);
+                        }
+                    }
+                }
+                let batch: Vec<_> = fragments
                     .iter()
-                    .map(|(_target, fragment)| (fragment.bin, &fragment.bytes[..], fragment.last))
+                    .map(|fragment| (fragment.bin, &fragment.bytes[..], fragment.last))
                     .collect();
-                let installed = s_store
-                    .borrow_mut()
+                let installed = store
                     .try_install_fragments(&batch)
                     .unwrap_or_else(|error| panic!("storage error installing bins: {error}"));
-                let store = s_store.borrow();
                 for bin in installed {
                     let contents = store.try_bin(bin).expect("bin just installed");
                     // Pending times can trail the migration's control time

@@ -549,3 +549,63 @@ fn repeated_migrations_round_trip() {
     assert_eq!(finals.len(), 16);
     assert!(finals.values().all(|&count| count == 24), "some keys lost updates: {:?}", finals);
 }
+
+/// A bin moved twice at one time ends up where its last move sends it, as the
+/// routing table does: records of that time find it there.
+#[test]
+fn a_bin_moved_twice_at_one_time_follows_its_last_move() {
+    let outputs = timelite::execute(Config::process(2), |worker| {
+        let index = worker.index();
+        let config = MegaphoneConfig::new(2);
+        let results = Rc::new(RefCell::new(Vec::new()));
+        let results_inner = results.clone();
+
+        let (mut control, mut data, output) = worker.dataflow::<u64, _, _>(|scope| {
+            let (control_input, control) = scope.new_input::<ControlInst>();
+            let (data_input, data) = scope.new_input::<(u64, u64)>();
+            let output = state_machine::<_, u64, u64, u64, (u64, u64), _>(
+                config,
+                &control,
+                &data,
+                "Counter",
+                |key, value, state| {
+                    *state += value;
+                    (false, vec![(*key, *state)])
+                },
+            );
+            output.stream.inspect(move |_t, r| results_inner.borrow_mut().push(*r));
+            (control_input, data_input, output)
+        });
+
+        for round in 0..3u64 {
+            for key in 0..16u64 {
+                data.send((key, 1));
+            }
+            if index == 0 && round == 1 {
+                // Away and straight back, then away for good.
+                for bin in 0..config.bins() {
+                    let host = bin % 2;
+                    control.send(ControlInst::Move(bin, 1 - host));
+                    control.send(ControlInst::Move(bin, host));
+                }
+                control.send(ControlInst::Move(0, 1));
+            }
+            control.advance_to(round + 1);
+            data.advance_to(round + 1);
+            worker.step_while(|| output.probe.less_than(&(round + 1)));
+        }
+        drop(control);
+        drop(data);
+        worker.step_until_complete();
+        let collected = results.borrow().clone();
+        collected
+    });
+
+    let mut finals: HashMap<u64, u64> = HashMap::new();
+    for (key, count) in outputs.into_iter().flatten() {
+        let entry = finals.entry(key).or_insert(0);
+        *entry = (*entry).max(count);
+    }
+    assert_eq!(finals.len(), 16);
+    assert!(finals.values().all(|&count| count == 6), "some keys lost updates: {finals:?}");
+}

@@ -17,6 +17,11 @@
 //! logical time, due records in (due time, scheduling) order ahead of fresh
 //! ones); after every operation the runs of every hosted bin ascend strictly
 //! and are non-empty, and no worker holds more wake-ups than its bins have runs.
+//!
+//! The same script also runs on a live two-worker `stateful_unary` in one
+//! process, whose migrations hand bins over with their pending runs, and a
+//! round trip of every bin leaves each worker holding the wake-ups it held
+//! before.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,6 +31,7 @@ use megaphone::prelude::*;
 use megaphone::{BinStore, WakeupQueue};
 use timelite::communication::shared_changes;
 use timelite::dataflow::Capability;
+use timelite::prelude::*;
 
 const BIN_SHIFT: u32 = 3;
 const BINS: usize = 1 << BIN_SHIFT;
@@ -297,4 +303,207 @@ fn timer_path_matches_a_naive_pending_list() {
         assert!(reference.calls.len() > 100, "seed {seed}: the script delivered too little");
         assert_eq!(system.calls, reference.calls, "seed {seed}");
     }
+}
+
+/// The records `(bin, record)` of the live tests carry their bin in the key's
+/// top bits, which pick the bin.
+fn bin_key(&(bin, _): &(u64, u64)) -> u64 {
+    bin << (64 - BIN_SHIFT)
+}
+
+/// The timer script on a live two-worker dataflow in one process: worker 0
+/// feeds the fresh records of every time and moves up to two bins to the
+/// other worker ahead of them, so bins leave with runs pending. Returns the
+/// reference's fresh records per time and the dataflow's `fold` calls, in
+/// call order per worker.
+fn live_run(seed: u64) -> (Vec<Vec<Vec<u64>>>, Vec<Call>) {
+    let script = move || {
+        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+        let mut host = MegaphoneConfig::new(BIN_SHIFT).initial_assignment(WORKERS);
+        let mut next_record = 0u64;
+        (0..STEPS)
+            .map(|time| {
+                let mut moves = Vec::new();
+                if time < STEPS / 2 {
+                    for _ in 0..rng.below(3) {
+                        let bin = rng.below(BINS as u64) as usize;
+                        host[bin] = 1 - host[bin];
+                        moves.push(ControlInst::Move(bin, host[bin]));
+                    }
+                }
+                let mut fresh: Vec<Vec<u64>> = vec![Vec::new(); BINS];
+                for fresh in fresh.iter_mut() {
+                    if time < STEPS / 2 && rng.below(3) == 0 {
+                        fresh.extend((0..1 + rng.below(3)).map(|_| {
+                            next_record += 1;
+                            next_record
+                        }));
+                    }
+                }
+                (moves, fresh)
+            })
+            .collect::<Vec<_>>()
+    };
+    let outputs = timelite::execute(Config::process(WORKERS), move |worker| {
+        let index = worker.index();
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let calls_inner = calls.clone();
+        let (mut control, mut data, output) = worker.dataflow::<u64, _, _>(|scope| {
+            let (control_input, control) = scope.new_input::<ControlInst>();
+            let (data_input, data) = scope.new_input::<(u64, u64)>();
+            let output = stateful_unary::<_, (u64, u64), u64, (u64, Vec<u64>), _, _>(
+                MegaphoneConfig::new(BIN_SHIFT),
+                &control,
+                &data,
+                "Timers",
+                bin_key,
+                |&time, records, _state, notificator| {
+                    let bin = notificator.bin() as u64;
+                    let mut delivered = Vec::with_capacity(records.len());
+                    for (_, record) in records {
+                        for (requested, child) in fold_logic(record, time) {
+                            notificator.notify_at(requested, (bin, child));
+                        }
+                        delivered.push(record);
+                    }
+                    vec![(bin, delivered)]
+                },
+            );
+            output.stream.inspect(move |&time, (bin, records)| {
+                calls_inner.borrow_mut().push((time, *bin as BinId, records.clone()))
+            });
+            (control_input, data_input, output)
+        });
+        for (time, (moves, fresh)) in script().into_iter().enumerate() {
+            if index == 0 {
+                for instruction in moves {
+                    control.send(instruction);
+                }
+                for (bin, records) in fresh.into_iter().enumerate() {
+                    for record in records {
+                        data.send((bin as u64, record));
+                    }
+                }
+            }
+            let next = time as u64 + 1;
+            control.advance_to(next);
+            data.advance_to(next);
+            worker.step_while(|| output.probe.less_than(&next));
+        }
+        drop(control);
+        drop(data);
+        worker.step_until_complete();
+        let calls = calls.borrow().clone();
+        calls
+    });
+    let fresh = script().into_iter().map(|(_moves, fresh)| fresh).collect();
+    (fresh, outputs.into_iter().flatten().collect())
+}
+
+#[test]
+fn handed_over_timers_match_a_naive_pending_list() {
+    for seed in 1..=8u64 {
+        let (fresh, mut calls) = live_run(seed);
+        // Migrations within the process never delay a bin: no floors.
+        let mut reference =
+            Reference { pending: vec![Vec::new(); BINS], floor: vec![0; BINS], calls: Vec::new() };
+        for (time, fresh) in fresh.into_iter().enumerate() {
+            reference.step(time as u64, fresh);
+        }
+        assert!(
+            reference.pending.iter().all(Vec::is_empty),
+            "seed {seed}: the script must run until every record is delivered"
+        );
+        // A (time, bin) is folded on one worker, whose calls keep their order.
+        calls.sort_by_key(|call| (call.0, call.1));
+        reference.calls.sort_by_key(|call| (call.0, call.1));
+        assert!(reference.calls.len() > 50, "seed {seed}: the script delivered too little");
+        assert_eq!(calls, reference.calls, "seed {seed}");
+    }
+}
+
+#[test]
+fn a_handover_round_trip_keeps_the_wake_up_count() {
+    /// The time every record post-dates one child to, plus `record % 3`.
+    const FAR: u64 = 1_000;
+    let config = MegaphoneConfig::new(BIN_SHIFT);
+    let results = timelite::execute(Config::process(WORKERS), move |worker| {
+        let index = worker.index();
+        let delivered = Rc::new(RefCell::new(Vec::new()));
+        let delivered_inner = delivered.clone();
+        let (mut control, mut data, output) = worker.dataflow::<u64, _, _>(|scope| {
+            let (control_input, control) = scope.new_input::<ControlInst>();
+            let (data_input, data) = scope.new_input::<(u64, u64)>();
+            let output = stateful_unary::<_, (u64, u64), u64, (u64, u64), _, _>(
+                config,
+                &control,
+                &data,
+                "RoundTrip",
+                bin_key,
+                |&time, records, _state, notificator| {
+                    for &(bin, record) in &records {
+                        if time < FAR {
+                            notificator.notify_at(FAR + record % 3, (bin, record + 100));
+                        }
+                    }
+                    records
+                },
+            );
+            output
+                .stream
+                .inspect(move |&time, &record| delivered_inner.borrow_mut().push((time, record)));
+            (control_input, data_input, output)
+        });
+        // Time 0: three records per bin, each post-dating a child to one of
+        // three far times.
+        if index == 0 {
+            for bin in 0..BINS as u64 {
+                for record in 0..3 {
+                    data.send((bin, bin * 10 + record));
+                }
+            }
+        }
+        // Every bin moves to the other worker at time 1, and back at time 2.
+        let assignment = config.initial_assignment(WORKERS);
+        let mut wake_ups = Vec::new();
+        for time in 1..=4u64 {
+            control.advance_to(time);
+            data.advance_to(time);
+            worker.step_while(|| output.probe.less_than(&time));
+            wake_ups.push(output.stats.pending_wakeups());
+            if index == 0 && time < 3 {
+                let target = |bin: usize| (assignment[bin] + time as usize) % WORKERS;
+                control.send(ControlInst::Map((0..BINS).map(target).collect()));
+            }
+        }
+
+        drop(control);
+        drop(data);
+        worker.step_until_complete();
+        let delivered = delivered.borrow().clone();
+        (wake_ups, delivered)
+    });
+
+    for (index, (wake_ups, _)) in results.iter().enumerate() {
+        // Four bins per worker, three runs each.
+        assert_eq!(wake_ups[0], 12, "worker {index}: wake-ups before the moves");
+        assert_eq!(wake_ups[1], 12, "worker {index}: wake-ups while holding the other's bins");
+        assert_eq!(
+            wake_ups.last(),
+            Some(&wake_ups[0]),
+            "worker {index}: a round trip changed the wake-up count: {wake_ups:?}"
+        );
+    }
+    let mut delivered: Vec<(u64, (u64, u64))> =
+        results.into_iter().flat_map(|(_, delivered)| delivered).collect();
+    delivered.sort_unstable();
+    let mut expected = Vec::new();
+    for bin in 0..BINS as u64 {
+        for record in bin * 10..bin * 10 + 3 {
+            expected.push((0, (bin, record)));
+            expected.push((FAR + record % 3, (bin, record + 100)));
+        }
+    }
+    expected.sort_unstable();
+    assert_eq!(delivered, expected, "every post-dated record is delivered once, on time");
 }

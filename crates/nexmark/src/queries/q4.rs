@@ -95,7 +95,7 @@ pub fn running_aggregate<S, F>(
     mut fold: F,
 ) -> QueryOutput
 where
-    S: Default + Codec + 'static,
+    S: Default + Codec + Send + 'static,
     F: FnMut(u64, u64, &mut S) -> String + 'static,
 {
     let rows = stateful_unary::<_, (u64, u64), FxHashMap<u64, S>, String, _, _>(

@@ -303,11 +303,11 @@ impl<T: Timestamp> Tracker<T> {
 fn topological_order(nodes: &[NodeDesc], edges: &[EdgeDesc]) -> Vec<usize> {
     let mut in_degree = vec![0usize; nodes.len()];
     let mut outgoing: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    // A self-edge counts like any other: it keeps its node's in-degree above
+    // zero, so a self-loop is reported as the cycle it is.
     for edge in edges {
-        if edge.source.node != edge.target.node {
-            outgoing[edge.source.node].push(edge.target.node);
-            in_degree[edge.target.node] += 1;
-        }
+        outgoing[edge.source.node].push(edge.target.node);
+        in_degree[edge.target.node] += 1;
     }
     let mut queue: Vec<usize> = (0..nodes.len()).filter(|&n| in_degree[n] == 0).collect();
     let mut order = Vec::with_capacity(nodes.len());
@@ -499,6 +499,14 @@ mod tests {
             EdgeDesc { source: Port::new(0, 0), target: Port::new(1, 0) },
             EdgeDesc { source: Port::new(1, 0), target: Port::new(0, 0) },
         ];
+        let _ = Tracker::<u64>::new(nodes, edges, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "timelite supports acyclic dataflows only; a cycle was detected")]
+    fn self_loops_are_rejected() {
+        let nodes = vec![node("a", 1, 1)];
+        let edges = vec![EdgeDesc { source: Port::new(0, 0), target: Port::new(0, 0) }];
         let _ = Tracker::<u64>::new(nodes, edges, 1);
     }
 
