@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use megaphone::{ControlInst, RoutingTable};
-use timelite::progress::Antichain;
+use timelite::progress::Frontier;
 
 fn bench_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("routing_lookup");
@@ -34,7 +34,7 @@ fn bench_compact(c: &mut Criterion) {
                 table
             },
             |mut table| {
-                table.compact(&Antichain::from_elem(1_000));
+                table.compact(&Frontier::at(1_000));
                 table.pending_updates()
             },
             criterion::BatchSize::SmallInput,

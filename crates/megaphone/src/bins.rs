@@ -28,7 +28,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use timelite::order::{PartialOrder, Timestamp};
+use timelite::order::Timestamp;
 
 use crate::codec::{
     Assembler, ChunkedCodec, Codec, FragmentItems, Fragmenter, SeqAssembler, SeqFragmenter,
@@ -195,12 +195,12 @@ pub fn post_date<T: Ord, D>(pending: &mut Runs<T, D>, time: T, record: D) -> boo
 /// of `fresh`: in (due time, scheduling) order, then the fresh ones. Costs one
 /// comparison when nothing is due — `pending` is empty on every call of a fold
 /// that never post-dates — and otherwise only touches the due runs.
-pub fn take_due<T: PartialOrder, D>(
+pub fn take_due<T: Ord, D>(
     pending: &mut Runs<T, D>,
     time: &T,
     mut fresh: Vec<D>,
 ) -> Vec<D> {
-    let due = pending.iter().take_while(|(run, _)| run.less_equal(time)).count();
+    let due = pending.iter().take_while(|(run, _)| run <= time).count();
     if due == 0 {
         return fresh;
     }

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use timelite::dataflow::{InputHandle, ProbeHandle};
-use timelite::order::{Timestamp, TotalOrder};
+use timelite::order::Timestamp;
 
 use crate::bins::{BinId, BinStats};
 use crate::control::ControlInst;
@@ -31,7 +31,7 @@ pub enum ControllerStatus {
 }
 
 /// Issues the steps of a migration plan against a control input, one at a time.
-pub struct MigrationController<T: Timestamp + TotalOrder> {
+pub struct MigrationController<T: Timestamp> {
     steps: VecDeque<Vec<(BinId, usize)>>,
     /// The time at which the currently outstanding step was issued.
     outstanding: Option<T>,
@@ -41,7 +41,7 @@ pub struct MigrationController<T: Timestamp + TotalOrder> {
     issued_steps: usize,
 }
 
-impl<T: Timestamp + TotalOrder> MigrationController<T> {
+impl<T: Timestamp> MigrationController<T> {
     /// Creates a controller for `plan`.
     ///
     /// With `gap` set, the controller waits one extra call between the
@@ -147,7 +147,7 @@ impl<T: Timestamp + TotalOrder> MigrationController<T> {
 /// ([`advance`](Self::advance)). While a migration is in flight no new plan is
 /// adopted; once it completes, the target assignment becomes current and
 /// observation resumes.
-pub struct ClosedLoopController<T: Timestamp + TotalOrder> {
+pub struct ClosedLoopController<T: Timestamp> {
     strategy: MigrationStrategy,
     peers: usize,
     gap: bool,
@@ -165,7 +165,7 @@ pub struct ClosedLoopController<T: Timestamp + TotalOrder> {
     paused: bool,
 }
 
-impl<T: Timestamp + TotalOrder> ClosedLoopController<T> {
+impl<T: Timestamp> ClosedLoopController<T> {
     /// Creates a controller over `initial` (the live bin-to-worker
     /// assignment), triggering whenever an observed delta's max/mean worker
     /// load ratio exceeds `threshold` and covers at least `min_records`

@@ -5,15 +5,14 @@ use std::hash::Hash;
 
 use timelite::dataflow::Stream;
 use timelite::hashing::{hash_code, FxHashMap};
+use timelite::order::Timestamp;
 use timelite::Data;
 
 use crate::bins::MegaphoneConfig;
 use crate::codec::Codec;
 use crate::control::ControlInst;
 use crate::notificator::Notificator;
-use crate::operator::{
-    stateful_unary, MegaphoneData, MegaphoneState, MegaphoneTime, StatefulOutput,
-};
+use crate::operator::{stateful_unary, MegaphoneData, MegaphoneState, StatefulOutput};
 
 /// A record of one of two input streams, used to implement binary operators on
 /// top of the unary mechanism ("Operators with multiple data inputs can be
@@ -67,7 +66,7 @@ pub fn stateful_binary<T, D1, D2, S, O, H1, H2, F>(
     mut fold: F,
 ) -> StatefulOutput<T, O>
 where
-    T: MegaphoneTime,
+    T: Timestamp,
     D1: MegaphoneData,
     D2: MegaphoneData,
     S: MegaphoneState,
@@ -116,7 +115,7 @@ pub fn state_machine<T, K, V, S, O, F>(
     mut fold: F,
 ) -> StatefulOutput<T, O>
 where
-    T: MegaphoneTime,
+    T: Timestamp,
     K: MegaphoneData + Hash + Eq,
     V: MegaphoneData,
     S: MegaphoneState,
@@ -145,7 +144,7 @@ where
 }
 
 /// Method-call syntax for Megaphone's operators.
-pub trait MegaphoneStream<T: MegaphoneTime, D: MegaphoneData> {
+pub trait MegaphoneStream<T: Timestamp, D: MegaphoneData> {
     /// See [`stateful_unary`].
     fn megaphone_unary<S, O, H, F>(
         &self,
@@ -183,7 +182,7 @@ pub trait MegaphoneStream<T: MegaphoneTime, D: MegaphoneData> {
             + 'static;
 }
 
-impl<T: MegaphoneTime, D: MegaphoneData> MegaphoneStream<T, D> for Stream<T, D> {
+impl<T: Timestamp, D: MegaphoneData> MegaphoneStream<T, D> for Stream<T, D> {
     fn megaphone_unary<S, O, H, F>(
         &self,
         config: MegaphoneConfig,

@@ -15,8 +15,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use timelite::dataflow::Capability;
-use timelite::order::{Timestamp, TotalOrder};
-use timelite::progress::Antichain;
+use timelite::order::Timestamp;
+use timelite::progress::Frontier;
 
 use crate::bins::{pending_records, post_date, BinId, Runs};
 
@@ -54,13 +54,13 @@ pub struct PendingQueue<T: Timestamp, P> {
     heap: BinaryHeap<Reverse<Pending<T, P>>>,
 }
 
-impl<T: Timestamp + TotalOrder, P> Default for PendingQueue<T, P> {
+impl<T: Timestamp, P> Default for PendingQueue<T, P> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Timestamp + TotalOrder, P> PendingQueue<T, P> {
+impl<T: Timestamp, P> PendingQueue<T, P> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         PendingQueue { heap: BinaryHeap::new() }
@@ -90,7 +90,7 @@ impl<T: Timestamp + TotalOrder, P> PendingQueue<T, P> {
     /// Removes and returns, in timestamp order, all entries whose time is no
     /// longer in advance of `frontier` (i.e. entries whose time can no longer
     /// receive new records).
-    pub fn drain_ready(&mut self, frontier: &Antichain<T>) -> Vec<(T, Capability<T>, P)> {
+    pub fn drain_ready(&mut self, frontier: &Frontier<T>) -> Vec<(T, Capability<T>, P)> {
         let mut ready = Vec::new();
         while let Some(Reverse(entry)) = self.heap.peek() {
             if frontier.less_equal(&entry.time) {
@@ -107,20 +107,11 @@ impl<T: Timestamp + TotalOrder, P> PendingQueue<T, P> {
     /// would return work. Operators use this after processing to decide
     /// whether to re-activate themselves: entries enqueued at the time
     /// currently being retired are ready immediately, and no further frontier
-    /// movement (hence no tracker-driven activation) may ever arrive.
-    pub fn has_ready(&self, frontier: &Antichain<T>) -> bool {
-        self.heap
-            .peek()
-            .is_some_and(|Reverse(entry)| !frontier.less_equal(&entry.time))
-    }
-
-    /// Like [`has_ready`](Self::has_ready), but requires the time to have been
-    /// passed by *both* frontiers (used by `S`, which must wait for both its
-    /// data and its state input).
-    pub fn has_ready2(&self, frontier1: &Antichain<T>, frontier2: &Antichain<T>) -> bool {
-        self.heap.peek().is_some_and(|Reverse(entry)| {
-            !frontier1.less_equal(&entry.time) && !frontier2.less_equal(&entry.time)
-        })
+    /// movement (hence no tracker-driven activation) may ever arrive. `S`,
+    /// which waits for both its data and its state input, asks with the meet
+    /// of the two frontiers.
+    pub fn has_ready(&self, frontier: &Frontier<T>) -> bool {
+        self.next_time().is_some_and(|time| !frontier.less_equal(time))
     }
 
     /// Removes and returns the entries of `time`, which must be the earliest
@@ -151,13 +142,13 @@ pub struct WakeupQueue<T: Timestamp> {
     len: usize,
 }
 
-impl<T: Timestamp + TotalOrder> Default for WakeupQueue<T> {
+impl<T: Timestamp> Default for WakeupQueue<T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T: Timestamp + TotalOrder> WakeupQueue<T> {
+impl<T: Timestamp> WakeupQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         WakeupQueue { times: BTreeMap::new(), len: 0 }
@@ -181,7 +172,7 @@ impl<T: Timestamp + TotalOrder> WakeupQueue<T> {
     /// (several closed runs of one bin) collapses into one wake-up.
     pub fn register(&mut self, time: T, capability: &Capability<T>, bin: BinId) {
         let open = capability.time();
-        let time = if open.less_equal(&time) { time } else { open.clone() };
+        let time = if *open <= time { time } else { open.clone() };
         let (_, bins) = self
             .times
             .entry(time)
@@ -224,11 +215,10 @@ impl<T: Timestamp + TotalOrder> WakeupQueue<T> {
         self.times.keys().next()
     }
 
-    /// Returns `true` iff both frontiers have passed the earliest time with a
+    /// Returns `true` iff `frontier` has passed the earliest time with a
     /// wake-up (see [`PendingQueue::has_ready`] for why `S` asks).
-    pub fn has_ready2(&self, frontier1: &Antichain<T>, frontier2: &Antichain<T>) -> bool {
-        self.next_time()
-            .is_some_and(|time| !frontier1.less_equal(time) && !frontier2.less_equal(time))
+    pub fn has_ready(&self, frontier: &Frontier<T>) -> bool {
+        self.next_time().is_some_and(|time| !frontier.less_equal(time))
     }
 
     /// Removes and returns the wake-ups of `time`, if it has any: its
@@ -254,7 +244,7 @@ impl<T: Timestamp + TotalOrder> WakeupQueue<T> {
 /// the same call (after a migration or recovery delivered closed runs late)
 /// they come in (due time, scheduling) order, ahead of that time's fresh
 /// records.
-pub struct Notificator<'a, T: Timestamp + TotalOrder, D> {
+pub struct Notificator<'a, T: Timestamp, D> {
     time: &'a T,
     bin: BinId,
     bin_pending: &'a mut Runs<T, D>,
@@ -262,7 +252,7 @@ pub struct Notificator<'a, T: Timestamp + TotalOrder, D> {
     capability: &'a Capability<T>,
 }
 
-impl<'a, T: Timestamp + TotalOrder, D> Notificator<'a, T, D> {
+impl<'a, T: Timestamp, D> Notificator<'a, T, D> {
     /// Creates a notificator scoped to one bin at one processing time:
     /// `bin_pending` is the bin's run list, `capability` one for `time`.
     pub fn new(
@@ -294,7 +284,7 @@ impl<'a, T: Timestamp + TotalOrder, D> Notificator<'a, T, D> {
     /// in the operator's next scheduling round, rather than panicking or being
     /// dropped.
     pub fn notify_at(&mut self, time: T, record: D) {
-        let time = if self.time.less_equal(&time) { time } else { self.time.clone() };
+        let time = if *self.time <= time { time } else { self.time.clone() };
         if post_date(self.bin_pending, time.clone(), record) {
             self.wakeups.register(time, self.capability, self.bin);
         }
@@ -333,7 +323,7 @@ mod tests {
         queue.push(test_capability(5), "five");
         queue.push(test_capability(1), "one");
         queue.push(test_capability(3), "three");
-        let ready = queue.drain_ready(&Antichain::from_elem(4));
+        let ready = queue.drain_ready(&Frontier::at(4));
         let times: Vec<u64> = ready.iter().map(|(t, _, _)| *t).collect();
         assert_eq!(times, vec![1, 3]);
         assert_eq!(queue.len(), 1);
@@ -343,8 +333,8 @@ mod tests {
     fn frontier_boundary_is_exclusive() {
         let mut queue = PendingQueue::new();
         queue.push(test_capability(4), ());
-        assert!(queue.drain_ready(&Antichain::from_elem(4)).is_empty());
-        assert_eq!(queue.drain_ready(&Antichain::from_elem(5)).len(), 1);
+        assert!(queue.drain_ready(&Frontier::at(4)).is_empty());
+        assert_eq!(queue.drain_ready(&Frontier::at(5)).len(), 1);
     }
 
     #[test]
@@ -353,7 +343,7 @@ mod tests {
         for time in 0..10u64 {
             queue.push(test_capability(time), time);
         }
-        let ready = queue.drain_ready(&Antichain::new());
+        let ready = queue.drain_ready(&Frontier::empty());
         assert_eq!(ready.len(), 10);
         assert!(queue.is_empty());
     }
@@ -364,8 +354,9 @@ mod tests {
         queue.push(test_capability(3), "a");
         queue.push(test_capability(4), "later");
         queue.push(test_capability(3), "b");
-        assert!(!queue.has_ready2(&Antichain::from_elem(10), &Antichain::from_elem(2)));
-        assert!(queue.has_ready2(&Antichain::from_elem(10), &Antichain::from_elem(7)));
+        let (ten, two, seven) = (Frontier::at(10), Frontier::at(2), Frontier::at(7));
+        assert!(!queue.has_ready(&ten.meet(&two)));
+        assert!(queue.has_ready(&ten.meet(&seven)));
         let mut payloads: Vec<_> = queue.drain_time(&3).into_iter().map(|entry| entry.1).collect();
         payloads.sort_unstable();
         assert_eq!(payloads, vec!["a", "b"]);
@@ -417,9 +408,9 @@ mod tests {
         }
         assert_eq!(pending, vec![(5, vec![()])]);
         assert_eq!(wakeups.next_time(), Some(&5));
-        let open = Antichain::new();
-        assert!(!wakeups.has_ready2(&Antichain::from_elem(5), &open), "5 still open");
-        assert!(wakeups.has_ready2(&Antichain::from_elem(6), &open));
+        let open = Frontier::empty();
+        assert!(!wakeups.has_ready(&Frontier::at(5).meet(&open)), "5 still open");
+        assert!(wakeups.has_ready(&Frontier::at(6).meet(&open)));
         assert!(wakeups.take_time(&5).is_some());
         assert!(wakeups.is_empty(), "released exactly once");
     }
@@ -428,10 +419,9 @@ mod tests {
     fn wakeups_require_both_frontiers() {
         let mut wakeups = WakeupQueue::new();
         wakeups.register(3, &test_capability(3), 0);
-        let (ten, two, seven) =
-            (Antichain::from_elem(10), Antichain::from_elem(2), Antichain::from_elem(7));
-        assert!(!wakeups.has_ready2(&ten, &two));
-        assert!(wakeups.has_ready2(&ten, &seven));
+        let (ten, two, seven) = (Frontier::at(10), Frontier::at(2), Frontier::at(7));
+        assert!(!wakeups.has_ready(&ten.meet(&two)));
+        assert!(wakeups.has_ready(&ten.meet(&seven)));
     }
 
     #[test]

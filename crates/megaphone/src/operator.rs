@@ -30,7 +30,7 @@ use std::rc::Rc;
 
 use timelite::communication::Pact;
 use timelite::dataflow::{Capability, OperatorBuilder, OutputPort, ProbeHandle, Stream};
-use timelite::order::{Timestamp, TotalOrder};
+use timelite::order::Timestamp;
 use timelite::Data;
 
 use crate::bins::{
@@ -42,12 +42,6 @@ use crate::control::ControlInst;
 use crate::notificator::{Notificator, PendingQueue, WakeupQueue};
 use crate::routing::RoutingTable;
 use crate::storage::{worker_storage, StorageConfig, StorageHandle};
-
-/// Requirements on timestamps used by Megaphone operators: totally ordered (the
-/// epochs of a streaming computation) and serializable (pending records carry
-/// their timestamp through migrations).
-pub trait MegaphoneTime: Timestamp + TotalOrder + Codec {}
-impl<T: Timestamp + TotalOrder + Codec> MegaphoneTime for T {}
 
 /// Requirements on records flowing into a migrateable operator.
 pub trait MegaphoneData: Data + Codec {}
@@ -141,6 +135,10 @@ impl<T: Timestamp, O: Data> StatefulOutput<T, O> {
 
 /// Constructs a migrateable stateful unary operator (Listing 1's `unary`).
 ///
+/// * `T` is any [`Timestamp`]: totally ordered, the epochs of a streaming
+///   computation, so F's and S's input frontiers are single times; and
+///   serializable, because pending records carry their times through
+///   migrations.
 /// * `control` carries [`ControlInst`] configuration updates, timestamped with
 ///   the time at which they take effect.
 /// * `key` extracts the 64-bit routing key from each record (as in timely
@@ -185,7 +183,7 @@ pub fn stateful_unary<T, D, S, O, H, F>(
     fold: F,
 ) -> StatefulOutput<T, O>
 where
-    T: MegaphoneTime,
+    T: Timestamp,
     D: MegaphoneData,
     S: MegaphoneState,
     O: Data,
@@ -458,8 +456,9 @@ where
         }
 
         move |frontiers| {
-            let data_frontier = &frontiers[0];
-            let state_frontier = &frontiers[1];
+            // S applies a time once both its data and its state input have
+            // passed it.
+            let frontier = frontiers[0].meet(&frontiers[1]);
 
             // Bins that left since the last round (necessarily before any
             // install below) no longer need waking here. A bin that returns
@@ -527,7 +526,7 @@ where
                 .into_iter()
                 .flatten()
                 .min()
-                .filter(|time| !data_frontier.less_equal(time) && !state_frontier.less_equal(time))
+                .filter(|time| !frontier.less_equal(time))
                 .cloned();
             if let Some(time) = ready {
                 // Merge everything released for `time`: count the records per
@@ -599,9 +598,7 @@ where
             // further frontier movement — hence no tracker-driven activation
             // — may ever arrive. Re-activate: the worker's next step takes the
             // next time, after this step's progress has been broadcast.
-            if wakeups.has_ready2(data_frontier, state_frontier)
-                || data_stash.has_ready2(data_frontier, state_frontier)
-            {
+            if wakeups.has_ready(&frontier) || data_stash.has_ready(&frontier) {
                 s_activator.activate();
             }
             s_wakeup_count.set(wakeups.len());
@@ -637,7 +634,7 @@ fn route_batch<T, D, H>(
     capability: &Capability<T>,
     records: Vec<D>,
 ) where
-    T: MegaphoneTime,
+    T: Timestamp,
     D: MegaphoneData,
     H: Fn(&D) -> u64,
 {
@@ -662,7 +659,7 @@ fn process_bin<T, D, S, O, F>(
     fresh: Vec<D>,
 ) -> Vec<O>
 where
-    T: MegaphoneTime,
+    T: Timestamp,
     D: MegaphoneData,
     S: MegaphoneState,
     F: FnMut(&T, Vec<D>, &mut S, &mut Notificator<T, D>) -> Vec<O>,

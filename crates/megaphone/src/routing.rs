@@ -9,8 +9,8 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use timelite::order::{Timestamp, TotalOrder};
-use timelite::progress::Antichain;
+use timelite::order::Timestamp;
+use timelite::progress::Frontier;
 
 use crate::bins::BinId;
 use crate::control::ControlInst;
@@ -24,7 +24,7 @@ pub struct RoutingTable<T: Ord> {
     updates: BTreeMap<T, Vec<(BinId, usize)>>,
 }
 
-impl<T: Timestamp + TotalOrder> RoutingTable<T> {
+impl<T: Timestamp> RoutingTable<T> {
     /// Creates a routing table with the given initial assignment.
     pub fn new(initial: Vec<usize>) -> Self {
         assert!(!initial.is_empty(), "routing table requires at least one bin");
@@ -101,7 +101,7 @@ impl<T: Timestamp + TotalOrder> RoutingTable<T> {
     ///
     /// An update at time `t` can be retired once the data input frontier has
     /// passed `t`: no future record can ask about an earlier time.
-    pub fn compact(&mut self, data_frontier: &Antichain<T>) {
+    pub fn compact(&mut self, data_frontier: &Frontier<T>) {
         let retired: Vec<T> = self
             .updates
             .keys()
@@ -185,7 +185,7 @@ mod tests {
         let mut table = table();
         table.insert(10, &ControlInst::Move(0, 3));
         table.insert(20, &ControlInst::Move(1, 3));
-        table.compact(&Antichain::from_elem(15));
+        table.compact(&Frontier::at(15));
         assert_eq!(table.pending_updates(), 1, "only the update at 20 is retained");
         assert_eq!(table.lookup(&16, 0), 3, "compacted update still visible through base");
         assert_eq!(table.lookup(&25, 1), 3);
@@ -195,7 +195,7 @@ mod tests {
     fn compact_with_empty_frontier_retires_everything() {
         let mut table = table();
         table.insert(10, &ControlInst::Move(0, 3));
-        table.compact(&Antichain::new());
+        table.compact(&Frontier::empty());
         assert_eq!(table.pending_updates(), 0);
         assert_eq!(table.lookup(&0, 0), 3);
     }
@@ -206,7 +206,7 @@ mod tests {
         table.insert(10, &ControlInst::Move(0, 3));
         assert!(matches!(table.resolve(&9), Cow::Borrowed(_)), "no update applies before 10");
         assert!(matches!(table.resolve(&10), Cow::Owned(_)));
-        table.compact(&Antichain::from_elem(11));
+        table.compact(&Frontier::at(11));
         assert!(matches!(table.resolve(&10), Cow::Borrowed(_)), "compacted into the base");
     }
 
@@ -233,7 +233,7 @@ mod tests {
                 match below(8) {
                     0 => {
                         frontier += below(6);
-                        table.compact(&Antichain::from_elem(frontier));
+                        table.compact(&Frontier::at(frontier));
                     }
                     1 => {
                         let map = (0..BINS).map(|_| below(WORKERS) as usize).collect();

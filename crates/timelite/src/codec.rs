@@ -30,7 +30,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
-use crate::order::Product;
 use crate::progress::{Port, ProgressUpdates};
 
 /// A ref-counted, immutable byte region plus a range into it: the zero-copy
@@ -477,16 +476,6 @@ tuple_codec! {
     (A B C D E F),
 }
 
-impl<TOuter: Codec, TInner: Codec> Codec for Product<TOuter, TInner> {
-    fn encode(&self, bytes: &mut Vec<u8>) {
-        self.outer.encode(bytes);
-        self.inner.encode(bytes);
-    }
-    fn decode(bytes: &mut &[u8]) -> Self {
-        Product { outer: TOuter::decode(bytes), inner: TInner::decode(bytes) }
-    }
-}
-
 impl Codec for Port {
     fn encode(&self, bytes: &mut Vec<u8>) {
         self.node.encode(bytes);
@@ -530,8 +519,12 @@ mod tests {
 
     #[test]
     fn timestamps_roundtrip() {
-        roundtrip(Product::new(3u64, 7u64));
-        roundtrip(Product::new(Product::new(1u32, 2u32), 9u64));
+        use crate::order::Timestamp;
+        roundtrip(u8::minimum());
+        roundtrip(u32::MAX);
+        roundtrip(u64::MAX - 1);
+        roundtrip(usize::MAX);
+        roundtrip(u128::MAX);
     }
 
     #[test]

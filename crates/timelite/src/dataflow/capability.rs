@@ -60,7 +60,7 @@ impl<T: Timestamp> Capability<T> {
     /// Panics if `new_time` is not in advance of the capability's time.
     pub fn delayed(&self, new_time: &T) -> Capability<T> {
         assert!(
-            self.time.less_equal(new_time),
+            &self.time <= new_time,
             "cannot delay capability at {:?} to earlier time {:?}",
             self.time,
             new_time
@@ -75,7 +75,7 @@ impl<T: Timestamp> Capability<T> {
     /// Panics if `new_time` is not in advance of the capability's time.
     pub fn downgrade(&mut self, new_time: &T) {
         assert!(
-            self.time.less_equal(new_time),
+            &self.time <= new_time,
             "cannot downgrade capability at {:?} to earlier time {:?}",
             self.time,
             new_time

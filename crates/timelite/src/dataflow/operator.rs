@@ -14,7 +14,7 @@ use crate::dataflow::capability::{Capability, CapabilityInternals};
 use crate::dataflow::scope::Scope;
 use crate::dataflow::stream::Stream;
 use crate::order::Timestamp;
-use crate::progress::{Antichain, Port};
+use crate::progress::{Frontier, Port};
 use crate::Data;
 
 /// The typed receiving end of one operator input.
@@ -174,7 +174,7 @@ impl<T: Timestamp> OperatorBuilder<T> {
     pub fn build<B, L>(self, constructor: B)
     where
         B: FnOnce(Capability<T>) -> L,
-        L: FnMut(&[Antichain<T>]) + 'static,
+        L: FnMut(&[Frontier<T>]) + 'static,
     {
         let capability = Capability::mint_unaccounted(T::minimum(), Rc::clone(&self.internals));
         let logic = constructor(capability);

@@ -7,7 +7,7 @@ use crate::communication::Pact;
 use crate::dataflow::operator::OperatorBuilder;
 use crate::dataflow::stream::Stream;
 use crate::order::Timestamp;
-use crate::progress::Antichain;
+use crate::progress::Frontier;
 use crate::Data;
 
 impl<T: Timestamp, D: Data> Stream<T, D> {
@@ -76,7 +76,7 @@ impl<T: Timestamp, D: Data> Stream<T, D> {
         let mut input2 = builder.new_input(other, Pact::Pipeline);
         let (mut output, stream) = builder.new_output::<D>();
         builder.build(move |_capability| {
-            move |_frontiers: &[Antichain<T>]| {
+            move |_frontiers: &[Frontier<T>]| {
                 input1.for_each(|cap, mut data| output.session(&cap).give_vec(&mut data));
                 input2.for_each(|cap, mut data| output.session(&cap).give_vec(&mut data));
             }

@@ -5,7 +5,7 @@ use crate::dataflow::capability::Capability;
 use crate::dataflow::operator::{InputPort, OperatorBuilder, OutputPort};
 use crate::dataflow::stream::Stream;
 use crate::order::Timestamp;
-use crate::progress::Antichain;
+use crate::progress::Frontier;
 use crate::Data;
 
 impl<T: Timestamp, D: Data> Stream<T, D> {
@@ -19,14 +19,14 @@ impl<T: Timestamp, D: Data> Stream<T, D> {
     where
         D2: Data,
         B: FnOnce(Capability<T>) -> L,
-        L: FnMut(&mut InputPort<T, D>, &mut OutputPort<T, D2>, &Antichain<T>) + 'static,
+        L: FnMut(&mut InputPort<T, D>, &mut OutputPort<T, D2>, &Frontier<T>) + 'static,
     {
         let mut builder = OperatorBuilder::new(name, self.scope());
         let mut input = builder.new_input(self, pact);
         let (mut output, stream) = builder.new_output::<D2>();
         builder.build(move |capability| {
             let mut logic = constructor(capability);
-            move |frontiers: &[Antichain<T>]| {
+            move |frontiers: &[Frontier<T>]| {
                 logic(&mut input, &mut output, &frontiers[0]);
             }
         });
@@ -42,7 +42,7 @@ impl<T: Timestamp, D: Data> Stream<T, D> {
         L: FnMut(Capability<T>, Vec<D>, &mut OutputPort<T, D2>) + 'static,
     {
         self.unary_frontier(pact, name, move |_capability| {
-            move |input: &mut InputPort<T, D>, output: &mut OutputPort<T, D2>, _frontier: &Antichain<T>| {
+            move |input: &mut InputPort<T, D>, output: &mut OutputPort<T, D2>, _frontier: &Frontier<T>| {
                 input.for_each(|capability, data| logic(capability, data, output));
             }
         })
@@ -66,7 +66,7 @@ impl<T: Timestamp, D: Data> Stream<T, D> {
                 &mut InputPort<T, D>,
                 &mut InputPort<T, D2>,
                 &mut OutputPort<T, D3>,
-                &[Antichain<T>],
+                &[Frontier<T>],
             ) + 'static,
     {
         let mut builder = OperatorBuilder::new(name, self.scope());
@@ -75,7 +75,7 @@ impl<T: Timestamp, D: Data> Stream<T, D> {
         let (mut output, stream) = builder.new_output::<D3>();
         builder.build(move |capability| {
             let mut logic = constructor(capability);
-            move |frontiers: &[Antichain<T>]| {
+            move |frontiers: &[Frontier<T>]| {
                 logic(&mut input1, &mut input2, &mut output, frontiers);
             }
         });
@@ -90,7 +90,7 @@ impl<T: Timestamp, D: Data> Stream<T, D> {
         let mut builder = OperatorBuilder::new(name, self.scope());
         let mut input = builder.new_input(self, pact);
         builder.build(move |_capability| {
-            move |_frontiers: &[Antichain<T>]| {
+            move |_frontiers: &[Frontier<T>]| {
                 input.for_each(|capability, data| logic(capability.time(), data));
             }
         });

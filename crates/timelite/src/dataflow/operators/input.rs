@@ -3,7 +3,7 @@
 use crate::communication::{shared_changes, shared_tee, SharedChanges, SharedTee};
 use crate::dataflow::scope::Scope;
 use crate::dataflow::stream::Stream;
-use crate::order::{Timestamp, TotalOrder};
+use crate::order::Timestamp;
 use crate::progress::Port;
 use crate::schedule::Activator;
 use crate::Data;
@@ -17,7 +17,7 @@ use crate::Data;
 ///
 /// [`advance_to`]: InputHandle::advance_to
 /// [`close`]: InputHandle::close
-pub struct InputHandle<T: Timestamp + TotalOrder, D: Data> {
+pub struct InputHandle<T: Timestamp, D: Data> {
     time: T,
     buffer: Vec<D>,
     tee: SharedTee<T, D>,
@@ -34,7 +34,7 @@ pub struct InputHandle<T: Timestamp + TotalOrder, D: Data> {
 /// The number of buffered records after which `send` flushes automatically.
 const FLUSH_THRESHOLD: usize = 4096;
 
-impl<T: Timestamp + TotalOrder, D: Data> InputHandle<T, D> {
+impl<T: Timestamp, D: Data> InputHandle<T, D> {
     fn new(tee: SharedTee<T, D>, internal: SharedChanges<T>, activator: Activator) -> Self {
         InputHandle { time: T::minimum(), buffer: Vec::new(), tee, internal, activator, closed: false }
     }
@@ -92,7 +92,7 @@ impl<T: Timestamp + TotalOrder, D: Data> InputHandle<T, D> {
     pub fn advance_to(&mut self, time: T) {
         assert!(!self.closed, "cannot advance a closed input");
         assert!(
-            self.time.less_equal(&time),
+            self.time <= time,
             "cannot advance input from {:?} back to {:?}",
             self.time,
             time
@@ -127,13 +127,13 @@ impl<T: Timestamp + TotalOrder, D: Data> InputHandle<T, D> {
     }
 }
 
-impl<T: Timestamp + TotalOrder, D: Data> Drop for InputHandle<T, D> {
+impl<T: Timestamp, D: Data> Drop for InputHandle<T, D> {
     fn drop(&mut self) {
         self.close_inner();
     }
 }
 
-impl<T: Timestamp + TotalOrder> Scope<T> {
+impl<T: Timestamp> Scope<T> {
     /// Creates a new dataflow input, returning the handle used to supply records
     /// and the stream of those records.
     pub fn new_input<D: Data>(&mut self) -> (InputHandle<T, D>, Stream<T, D>) {

@@ -12,13 +12,13 @@ use crate::communication::Pact;
 use crate::dataflow::operator::OperatorBuilder;
 use crate::dataflow::stream::Stream;
 use crate::order::Timestamp;
-use crate::progress::Antichain;
+use crate::progress::Frontier;
 use crate::schedule::Activator;
 use crate::Data;
 
 /// A shared handle reporting the frontier observed at a probed stream.
 pub struct ProbeHandle<T: Timestamp> {
-    frontier: Rc<RefCell<Antichain<T>>>,
+    frontier: Rc<RefCell<Frontier<T>>>,
     /// Activators to fire whenever the observed frontier actually changes.
     ///
     /// This is how an operator watching a *downstream* frontier (Megaphone's
@@ -48,10 +48,10 @@ impl<T: Timestamp> ProbeHandle<T> {
     /// Creates a probe handle not yet attached to any stream.
     ///
     /// Until attached and scheduled, the handle conservatively reports the
-    /// frontier `{T::minimum()}`.
+    /// frontier at `T::minimum()`.
     pub fn new() -> Self {
         ProbeHandle {
-            frontier: Rc::new(RefCell::new(Antichain::from_elem(T::minimum()))),
+            frontier: Rc::new(RefCell::new(Frontier::at(T::minimum()))),
             observers: Rc::new(RefCell::new(Vec::new())),
         }
     }
@@ -77,14 +77,8 @@ impl<T: Timestamp> ProbeHandle<T> {
         self.frontier.borrow().is_empty()
     }
 
-    /// Applies `func` to the probed frontier.
-    pub fn with_frontier<R>(&self, func: impl FnOnce(&Antichain<T>) -> R) -> R {
-        func(&self.frontier.borrow())
-    }
-
-    fn install(&self, frontier: &Antichain<T>) {
-        // Tracker frontiers are kept sorted (canonical), so `!=` detects a
-        // real movement; observers are only woken on actual change.
+    fn install(&self, frontier: &Frontier<T>) {
+        // Observers are only woken on an actual change.
         if *self.frontier.borrow() != *frontier {
             *self.frontier.borrow_mut() = frontier.clone();
             for observer in self.observers.borrow().iter() {
@@ -110,7 +104,7 @@ impl<T: Timestamp, D: Data> Stream<T, D> {
         let mut input = builder.new_input(self, Pact::Pipeline);
         let handle = handle.clone();
         builder.build(move |_capability| {
-            move |frontiers: &[Antichain<T>]| {
+            move |frontiers: &[Frontier<T>]| {
                 // Drain (and account for) any records, then publish the frontier.
                 input.for_each(|_cap, _data| {});
                 handle.install(&frontiers[0]);

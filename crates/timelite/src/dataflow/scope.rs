@@ -15,13 +15,13 @@ use crate::communication::{
     SharedTee, WorkerSender,
 };
 use crate::order::Timestamp;
-use crate::progress::{Antichain, EdgeDesc, NodeDesc, Port};
+use crate::progress::{Frontier, EdgeDesc, NodeDesc, Port};
 use crate::schedule::{shared_activations, Activator, SharedActivations};
 use crate::Data;
 
 /// The operator logic invoked on every scheduling step with the operator's
 /// current input frontiers.
-pub type OperatorLogic<T> = Box<dyn FnMut(&[Antichain<T>])>;
+pub type OperatorLogic<T> = Box<dyn FnMut(&[Frontier<T>])>;
 
 /// A closure that accepts a received data payload for one channel — typed
 /// (from a worker in this process) or still wire-encoded (from a worker in
@@ -298,7 +298,7 @@ impl<T: Timestamp> Scope<T> {
         let nodes = std::mem::take(&mut builder.nodes);
         let logics = std::mem::take(&mut builder.logics)
             .into_iter()
-            .map(|logic| logic.unwrap_or_else(|| Box::new(|_: &[Antichain<T>]| {}) as OperatorLogic<T>))
+            .map(|logic| logic.unwrap_or_else(|| Box::new(|_: &[Frontier<T>]| {}) as OperatorLogic<T>))
             .collect();
         BuiltDataflow {
             dataflow: builder.dataflow,

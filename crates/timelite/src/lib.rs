@@ -4,22 +4,24 @@
 //! the Megaphone state-migration library (the primary contribution of this
 //! repository) relies on:
 //!
-//! * **Logical timestamps** with a partial order ([`order`]), attached to every
+//! * **Logical timestamps** ([`order`]), totally ordered and attached to every
 //!   data record.
-//! * **Frontiers** ([`progress`]): antichains of timestamps that may still
-//!   appear at a given point in the dataflow, maintained by capability-based
-//!   progress tracking across workers.
+//! * **Frontiers** ([`progress`]): the least timestamp that may still appear
+//!   at a given point in the dataflow, or none once nothing more will,
+//!   maintained by capability-based progress tracking across workers.
 //! * **Data-parallel workers** ([`worker`], [`mod@execute`]): each worker thread owns
 //!   a copy of every operator and exchanges data over shared-nothing channels
-//!   according to per-channel pacts (pipeline, hash exchange, broadcast).
+//!   according to per-channel pacts (pipeline, hash exchange, broadcast). The
+//!   workers run as threads of one process ([`Config::process`]) or spread
+//!   over several processes that talk over TCP ([`Config::cluster`]).
 //! * **Composable operators** ([`dataflow`]): a raw operator builder plus the
 //!   usual conveniences (map, filter, exchange, probe, unary/binary with
 //!   frontiers) from which higher-level libraries are assembled.
 //!
-//! The engine intentionally supports acyclic, single-level dataflows executed by
-//! threads within one process: that is the substrate Megaphone needs, and keeps
-//! the progress tracker small enough to reason about. See `DESIGN.md` at the
-//! repository root for the mapping to the paper.
+//! The engine intentionally supports acyclic, single-level dataflows over
+//! totally ordered times: that is the substrate Megaphone needs, and it keeps
+//! the progress tracker small enough to reason about. The repository's
+//! `README.md` maps the modules to the paper.
 //!
 //! # Example
 //!
@@ -70,8 +72,8 @@ pub mod worker;
 pub use crate::codec::Codec;
 pub use crate::dataflow::{Capability, InputHandle, InputPort, OperatorBuilder, OutputPort, ProbeHandle, Scope, Stream};
 pub use crate::execute::{execute, execute_single, try_execute, Config};
-pub use crate::order::{PartialOrder, Product, Timestamp, TotalOrder};
-pub use crate::progress::{Antichain, ChangeBatch, MutableAntichain};
+pub use crate::order::Timestamp;
+pub use crate::progress::{ChangeBatch, Frontier};
 pub use crate::schedule::Activator;
 pub use crate::worker::{DataflowSummary, Worker};
 
@@ -92,8 +94,8 @@ pub mod prelude {
     };
     pub use crate::execute::{execute, execute_single, try_execute, Config};
     pub use crate::hashing::hash_code;
-    pub use crate::order::{PartialOrder, Timestamp, TotalOrder};
-    pub use crate::progress::{Antichain, MutableAntichain};
+    pub use crate::order::Timestamp;
+    pub use crate::progress::Frontier;
     pub use crate::schedule::Activator;
     pub use crate::worker::{DataflowSummary, Worker};
     pub use crate::Data;

@@ -1,47 +1,25 @@
-//! Partial orders and logical timestamps.
+//! Logical timestamps.
 //!
-//! Timely dataflow coordinates workers using *logical timestamps*: opaque values
-//! attached to every data record for which a partial order is defined. The engine
-//! only ever compares timestamps through [`PartialOrder`], so timestamps may be
-//! integers (the common case), pairs of integers ([`Product`]), or any other type
-//! implementing the traits in this module.
+//! Timely dataflow coordinates workers using *logical timestamps*: values
+//! attached to every data record. `timelite` times are totally ordered — the
+//! epochs of a streaming computation — so the frontier at any point of a
+//! dataflow is a single time ([`Frontier`](crate::progress::Frontier)), like a
+//! low watermark in systems such as Flink.
 
 use std::fmt::Debug;
 use std::hash::Hash;
 
 use crate::codec::Codec;
 
-/// A type with a partial ordering.
-///
-/// Unlike [`PartialOrd`], incomparable elements are expressed by *both*
-/// `less_equal(a, b)` and `less_equal(b, a)` returning `false`, and the trait is
-/// used pervasively by frontier logic rather than for sorting.
-pub trait PartialOrder: PartialEq {
-    /// Returns `true` iff `self` is less than or equal to `other` in the partial order.
-    fn less_equal(&self, other: &Self) -> bool;
-
-    /// Returns `true` iff `self` is strictly less than `other` in the partial order.
-    fn less_than(&self, other: &Self) -> bool {
-        self.less_equal(other) && self != other
-    }
-}
-
-/// A marker trait for partial orders that are total.
-///
-/// For totally ordered timestamps a frontier contains at most one element, and
-/// is analogous to a low watermark in systems such as Flink.
-pub trait TotalOrder: PartialOrder {}
-
 /// A logical timestamp usable by the progress tracking machinery.
 ///
-/// A timestamp must have a partial order, a minimum element, and enough auxiliary
-/// structure (`Ord`, `Hash`) to be stored efficiently. The `Ord` implementation
-/// must be a linear extension of the partial order: `a.less_equal(b)` implies
-/// `a <= b`. Timestamps are serializable ([`Codec`]) because both data
-/// envelopes and progress updates carry them across process boundaries in
-/// cluster mode, and `Send + Sync` so a progress batch can be shared with
-/// every same-process peer behind one `Arc` instead of cloned per peer.
-pub trait Timestamp: Clone + PartialOrder + Ord + Eq + Hash + Debug + Send + Sync + Codec + 'static {
+/// A timestamp is totally ordered (`Ord`), has a minimum element, and is
+/// hashable so it can be stored efficiently. Timestamps are serializable
+/// ([`Codec`]) because both data envelopes and progress updates carry them
+/// across process boundaries in cluster mode, and `Send + Sync` so a progress
+/// batch can be shared with every same-process peer behind one `Arc` instead
+/// of cloned per peer.
+pub trait Timestamp: Clone + Ord + Eq + Hash + Debug + Send + Sync + Codec + 'static {
     /// The smallest element of the timestamp domain.
     fn minimum() -> Self;
 }
@@ -49,13 +27,6 @@ pub trait Timestamp: Clone + PartialOrder + Ord + Eq + Hash + Debug + Send + Syn
 macro_rules! implement_integer_timestamp {
     ($($index_type:ty,)*) => (
         $(
-            impl PartialOrder for $index_type {
-                #[inline]
-                fn less_equal(&self, other: &Self) -> bool { self <= other }
-                #[inline]
-                fn less_than(&self, other: &Self) -> bool { self < other }
-            }
-            impl TotalOrder for $index_type {}
             impl Timestamp for $index_type {
                 #[inline]
                 fn minimum() -> Self { 0 }
@@ -66,50 +37,9 @@ macro_rules! implement_integer_timestamp {
 
 implement_integer_timestamp!(u8, u16, u32, u64, u128, usize,);
 
-impl PartialOrder for () {
-    #[inline]
-    fn less_equal(&self, _other: &Self) -> bool {
-        true
-    }
-}
-impl TotalOrder for () {}
 impl Timestamp for () {
     #[inline]
     fn minimum() -> Self {}
-}
-
-/// A pair of timestamps ordered by the product partial order.
-///
-/// `Product { outer, inner }` is less-or-equal another product iff both
-/// coordinates are. This is the timestamp type used by nested scopes in Naiad;
-/// `timelite` exposes it so that library code and tests can exercise genuinely
-/// partially ordered frontiers.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct Product<TOuter, TInner> {
-    /// The outer (e.g. epoch) coordinate.
-    pub outer: TOuter,
-    /// The inner (e.g. iteration) coordinate.
-    pub inner: TInner,
-}
-
-impl<TOuter, TInner> Product<TOuter, TInner> {
-    /// Creates a new product timestamp from its coordinates.
-    pub fn new(outer: TOuter, inner: TInner) -> Self {
-        Product { outer, inner }
-    }
-}
-
-impl<TOuter: PartialOrder, TInner: PartialOrder> PartialOrder for Product<TOuter, TInner> {
-    #[inline]
-    fn less_equal(&self, other: &Self) -> bool {
-        self.outer.less_equal(&other.outer) && self.inner.less_equal(&other.inner)
-    }
-}
-
-impl<TOuter: Timestamp, TInner: Timestamp> Timestamp for Product<TOuter, TInner> {
-    fn minimum() -> Self {
-        Product::new(TOuter::minimum(), TInner::minimum())
-    }
 }
 
 #[cfg(test)]
@@ -117,44 +47,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn integer_partial_order_matches_total_order() {
-        assert!(0u64.less_equal(&0));
-        assert!(0u64.less_equal(&1));
-        assert!(!1u64.less_equal(&0));
-        assert!(0u64.less_than(&1));
-        assert!(!0u64.less_than(&0));
-    }
-
-    #[test]
     fn unit_timestamp_is_single_point() {
-        assert!(().less_equal(&()));
-        assert!(!().less_than(&()));
+        assert_eq!(().cmp(&()), std::cmp::Ordering::Equal);
         assert_eq!(<() as Timestamp>::minimum(), ());
-    }
-
-    #[test]
-    fn product_order_requires_both_coordinates() {
-        let a = Product::new(1u64, 2u64);
-        let b = Product::new(2u64, 1u64);
-        assert!(!a.less_equal(&b));
-        assert!(!b.less_equal(&a));
-        let c = Product::new(2u64, 2u64);
-        assert!(a.less_equal(&c));
-        assert!(b.less_equal(&c));
-        assert!(a.less_than(&c));
-    }
-
-    #[test]
-    fn product_minimum_is_componentwise() {
-        assert_eq!(Product::<u64, u32>::minimum(), Product::new(0u64, 0u32));
-    }
-
-    #[test]
-    fn ord_is_linear_extension_for_product() {
-        // lexicographic Ord must agree with the partial order whenever comparable
-        let a = Product::new(1u64, 5u64);
-        let b = Product::new(2u64, 6u64);
-        assert!(a.less_equal(&b));
-        assert!(a <= b);
     }
 }

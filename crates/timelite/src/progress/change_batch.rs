@@ -6,7 +6,8 @@
 /// sorting and summing updates to the same element, discarding zeros. It is the
 /// currency of progress tracking: operators report produced/consumed message
 /// counts and held capability changes as change batches, which workers then
-/// exchange and fold into [`MutableAntichain`](super::antichain::MutableAntichain)s.
+/// exchange and fold into the [`Tracker`](super::Tracker)'s per-port and
+/// per-channel counts, themselves change batches.
 #[derive(Clone, Debug, Default)]
 pub struct ChangeBatch<T> {
     updates: Vec<(T, i64)>,
@@ -94,8 +95,16 @@ impl<T: Ord + Clone> ChangeBatch<T> {
         self.updates.len()
     }
 
+    /// The least element with a positive net count: the frontier of a count
+    /// that may be transiently negative (a consumption reported before its
+    /// production). Reads the batch as last compacted.
+    pub(crate) fn least_positive(&self) -> Option<&T> {
+        debug_assert_eq!(self.clean, self.updates.len(), "read of an uncompacted batch");
+        self.updates.iter().find(|&&(_, count)| count > 0).map(|(element, _)| element)
+    }
+
     /// Sorts and consolidates the updates, removing zero-count entries.
-    fn compact(&mut self) {
+    pub(crate) fn compact(&mut self) {
         if self.clean < self.updates.len() && !self.updates.is_empty() {
             self.updates.sort_by(|x, y| x.0.cmp(&y.0));
             let mut cursor = 0;

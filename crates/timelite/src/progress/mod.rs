@@ -1,9 +1,9 @@
-//! Progress tracking: change batches, antichains/frontiers and the pointstamp tracker.
+//! Progress tracking: change batches, frontiers and the pointstamp tracker.
 
-pub mod antichain;
 pub mod change_batch;
+pub mod frontier;
 pub mod tracker;
 
-pub use antichain::{Antichain, AntichainRef, MutableAntichain};
 pub use change_batch::ChangeBatch;
+pub use frontier::Frontier;
 pub use tracker::{EdgeDesc, NodeDesc, Port, ProgressUpdates, Tracker};

@@ -5,11 +5,12 @@
 //! pointstamps (messages are in flight and not yet consumed). Workers broadcast
 //! changes to these counts; each worker folds the changes into its local
 //! [`Tracker`], which propagates them along the (acyclic) dataflow graph to
-//! obtain, for every operator input port, a frontier of timestamps that may
+//! obtain, for every operator input port, the frontier of timestamps that may
 //! still arrive there.
 
 use crate::order::Timestamp;
-use crate::progress::{Antichain, MutableAntichain};
+use crate::progress::frontier::least;
+use crate::progress::{ChangeBatch, Frontier};
 
 /// The location of an operator port within a dataflow graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -82,14 +83,14 @@ pub struct Tracker<T: Timestamp> {
     edges: Vec<EdgeDesc>,
     /// Channels indexed by target port, for frontier propagation.
     incoming: Vec<Vec<Vec<usize>>>,
-    /// Capability multiplicities per node output port, aggregated over all workers.
-    capabilities: Vec<Vec<MutableAntichain<T>>>,
-    /// In-flight message multiplicities per channel, aggregated over all workers.
-    messages: Vec<MutableAntichain<T>>,
+    /// Capability counts per node output port, aggregated over all workers.
+    capabilities: Vec<Vec<ChangeBatch<T>>>,
+    /// In-flight message counts per channel, aggregated over all workers.
+    messages: Vec<ChangeBatch<T>>,
     /// Derived frontier at each node input port.
-    input_frontiers: Vec<Vec<Antichain<T>>>,
+    input_frontiers: Vec<Vec<Frontier<T>>>,
     /// Derived frontier at each node output port.
-    output_frontiers: Vec<Vec<Antichain<T>>>,
+    output_frontiers: Vec<Vec<Frontier<T>>>,
     /// Nodes in topological order (sources before targets).
     topo: Vec<usize>,
     /// `topo_rank[node]` — the node's position within `topo`; the worker sorts
@@ -139,22 +140,16 @@ impl<T: Timestamp> Tracker<T> {
             topo_rank[node] = rank;
         }
 
-        let mut capabilities = Vec::with_capacity(nodes.len());
-        for node in &nodes {
-            let mut ports = Vec::with_capacity(node.outputs);
-            for _ in 0..node.outputs {
-                let mut antichain = MutableAntichain::new();
-                if node.initial_capability {
-                    antichain.update_iter_and_ignore(Some((T::minimum(), peers as i64)));
-                }
-                ports.push(antichain);
-            }
-            capabilities.push(ports);
-        }
-
-        let messages = edges.iter().map(|_| MutableAntichain::new()).collect();
-        let input_frontiers = nodes.iter().map(|n| vec![Antichain::new(); n.inputs]).collect();
-        let output_frontiers = nodes.iter().map(|n| vec![Antichain::new(); n.outputs]).collect();
+        let capabilities = nodes
+            .iter()
+            .map(|node| {
+                let held = if node.initial_capability { peers as i64 } else { 0 };
+                vec![ChangeBatch::new_from(T::minimum(), held); node.outputs]
+            })
+            .collect();
+        let messages = vec![ChangeBatch::new(); edges.len()];
+        let input_frontiers = nodes.iter().map(|n| vec![Frontier::empty(); n.inputs]).collect();
+        let output_frontiers = nodes.iter().map(|n| vec![Frontier::empty(); n.outputs]).collect();
 
         let changed_flag = vec![false; nodes.len()];
         let mut tracker = Tracker {
@@ -182,82 +177,95 @@ impl<T: Timestamp> Tracker<T> {
     /// Applies a batch of progress updates and recomputes all frontiers.
     pub fn apply(&mut self, updates: &ProgressUpdates<T>) {
         for (port, time, diff) in &updates.internals {
-            self.capabilities[port.node][port.port]
-                .update_iter_and_ignore(Some((time.clone(), *diff)));
+            self.capabilities[port.node][port.port].update(time.clone(), *diff);
         }
         for (channel, time, diff) in &updates.messages {
-            self.messages[*channel].update_iter_and_ignore(Some((time.clone(), *diff)));
+            self.messages[*channel].update(time.clone(), *diff);
         }
         self.propagate();
     }
 
     /// Recomputes the input and output frontiers of every node.
     ///
+    /// A count's frontier is its least time with a positive net count: counts
+    /// may be transiently negative, because progress batches from different
+    /// workers arrive interleaved and a consumption can be applied before its
+    /// production. That is safe, because the producer's capability, reported
+    /// in the same or an earlier batch as the production, still holds the
+    /// frontier.
+    ///
     /// For acyclic graphs a single pass in topological order suffices: the
-    /// frontier at an input port is the union of, for each incoming channel, the
-    /// channel's in-flight messages and the source output port's frontier; the
-    /// frontier at an output port is the union of the node's capabilities on that
-    /// port and all of the node's input frontiers (conservatively assuming every
-    /// input may influence every output).
+    /// frontier at an input port is the meet, over its incoming channels, of
+    /// the channel's in-flight messages and the source output port's frontier;
+    /// the frontier at an output port is the meet of the node's capabilities on
+    /// that port and all of the node's input frontiers (conservatively assuming
+    /// every input may influence every output). A frontier is written, and its
+    /// time cloned, only when it moves.
     fn propagate(&mut self) {
-        for &node in &self.topo.clone() {
-            for port in 0..self.nodes[node].inputs {
-                let mut frontier = Antichain::new();
-                for &channel in &self.incoming[node][port] {
-                    for time in self.messages[channel].frontier().iter() {
-                        frontier.insert(time.clone());
-                    }
-                    let source = self.edges[channel].source;
-                    for time in self.output_frontiers[source.node][source.port].elements() {
-                        frontier.insert(time.clone());
-                    }
+        for counts in self.capabilities.iter_mut().flatten().chain(&mut self.messages) {
+            counts.compact();
+        }
+        let Tracker {
+            nodes,
+            edges,
+            incoming,
+            capabilities,
+            messages,
+            input_frontiers,
+            output_frontiers,
+            topo,
+            changed,
+            changed_flag,
+            ..
+        } = self;
+        for &node in topo.iter() {
+            for (port, channels) in incoming[node].iter().enumerate() {
+                let mut time = None;
+                for &channel in channels {
+                    let source = edges[channel].source;
+                    time = least(time, messages[channel].least_positive());
+                    time = least(time, output_frontiers[source.node][source.port].time());
                 }
-                frontier.sort();
-                // Both sides are sorted (canonical), so `!=` detects a real
-                // frontier movement; record the node for activation.
-                if frontier != self.input_frontiers[node][port] {
-                    if !self.changed_flag[node] {
-                        self.changed_flag[node] = true;
-                        self.changed.push(node);
+                let frontier = &mut input_frontiers[node][port];
+                if frontier.time() != time {
+                    *frontier = Frontier::from_time(time.cloned());
+                    // Record the node for activation.
+                    if !changed_flag[node] {
+                        changed_flag[node] = true;
+                        changed.push(node);
                     }
-                    self.input_frontiers[node][port] = frontier;
                 }
             }
-            for port in 0..self.nodes[node].outputs {
-                let mut frontier = Antichain::new();
-                for time in self.capabilities[node][port].frontier().iter() {
-                    frontier.insert(time.clone());
+            for port in 0..nodes[node].outputs {
+                let held = capabilities[node][port].least_positive();
+                let time = input_frontiers[node].iter().fold(held, |time, input| least(time, input.time()));
+                let frontier = &mut output_frontiers[node][port];
+                if frontier.time() != time {
+                    *frontier = Frontier::from_time(time.cloned());
                 }
-                for input in 0..self.nodes[node].inputs {
-                    for time in self.input_frontiers[node][input].elements() {
-                        frontier.insert(time.clone());
-                    }
-                }
-                frontier.sort();
-                self.output_frontiers[node][port] = frontier;
             }
         }
     }
 
     /// The frontier at input port `port` of node `node`.
-    pub fn input_frontier(&self, node: usize, port: usize) -> &Antichain<T> {
+    pub fn input_frontier(&self, node: usize, port: usize) -> &Frontier<T> {
         &self.input_frontiers[node][port]
     }
 
     /// All input frontiers of `node`.
-    pub fn input_frontiers(&self, node: usize) -> &[Antichain<T>] {
+    pub fn input_frontiers(&self, node: usize) -> &[Frontier<T>] {
         &self.input_frontiers[node]
     }
 
     /// The frontier at output port `port` of node `node`.
-    pub fn output_frontier(&self, node: usize, port: usize) -> &Antichain<T> {
+    pub fn output_frontier(&self, node: usize, port: usize) -> &Frontier<T> {
         &self.output_frontiers[node][port]
     }
 
     /// Returns `true` iff no capabilities or in-flight messages remain anywhere.
     pub fn is_complete(&self) -> bool {
-        self.capabilities.iter().all(|ports| ports.iter().all(|c| c.is_empty()))
-            && self.messages.iter().all(|m| m.is_empty())
+        let mut counts = self.capabilities.iter().flatten().chain(&self.messages);
+        counts.all(|counts| counts.least_positive().is_none())
     }
 
     /// Number of nodes in the tracked graph.
@@ -350,8 +358,8 @@ mod tests {
     fn initial_frontier_is_minimum() {
         let (nodes, edges) = linear_graph();
         let tracker = Tracker::<u64>::new(nodes, edges, 2);
-        assert_eq!(tracker.input_frontier(2, 0).elements(), &[0]);
-        assert_eq!(tracker.input_frontier(1, 0).elements(), &[0]);
+        assert_eq!(tracker.input_frontier(2, 0).time(), Some(&0));
+        assert_eq!(tracker.input_frontier(1, 0).time(), Some(&0));
         assert!(!tracker.is_complete());
     }
 
@@ -366,14 +374,14 @@ mod tests {
         tracker.apply(&updates);
         // map still holds its initial capability at 0, so its own output is 0,
         // but its input frontier has advanced to 5.
-        assert_eq!(tracker.input_frontier(1, 0).elements(), &[5]);
-        assert_eq!(tracker.input_frontier(2, 0).elements(), &[0]);
+        assert_eq!(tracker.input_frontier(1, 0).time(), Some(&5));
+        assert_eq!(tracker.input_frontier(2, 0).time(), Some(&0));
 
         // map drops its initial capability: downstream sees 5.
         let mut updates = ProgressUpdates::new();
         updates.internals.push((Port::new(1, 0), 0, -1));
         tracker.apply(&updates);
-        assert_eq!(tracker.input_frontier(2, 0).elements(), &[5]);
+        assert_eq!(tracker.input_frontier(2, 0).time(), Some(&5));
     }
 
     #[test]
@@ -387,15 +395,45 @@ mod tests {
         updates.internals.push((Port::new(0, 0), 10, 1));
         updates.internals.push((Port::new(1, 0), 0, -1));
         tracker.apply(&updates);
-        assert_eq!(tracker.input_frontier(1, 0).elements(), &[3]);
-        assert_eq!(tracker.input_frontier(2, 0).elements(), &[3]);
+        assert_eq!(tracker.input_frontier(1, 0).time(), Some(&3));
+        assert_eq!(tracker.input_frontier(2, 0).time(), Some(&3));
 
         // Consuming the message releases the frontier.
         let mut updates = ProgressUpdates::new();
         updates.messages.push((0, 3, -4));
         tracker.apply(&updates);
-        assert_eq!(tracker.input_frontier(1, 0).elements(), &[10]);
-        assert_eq!(tracker.input_frontier(2, 0).elements(), &[10]);
+        assert_eq!(tracker.input_frontier(1, 0).time(), Some(&10));
+        assert_eq!(tracker.input_frontier(2, 0).time(), Some(&10));
+    }
+
+    #[test]
+    fn a_consumption_reported_before_its_production_does_not_hold_the_frontier() {
+        let (nodes, edges) = linear_graph();
+        let mut tracker = Tracker::<u64>::new(nodes, edges, 1);
+        let mut updates = ProgressUpdates::new();
+        updates.internals.push((Port::new(0, 0), 0, -1));
+        updates.internals.push((Port::new(0, 0), 5, 1));
+        tracker.apply(&updates);
+        assert_eq!(tracker.input_frontier(1, 0).time(), Some(&5));
+
+        // The consumer's report of two messages at 3 arrives before the
+        // producer's: the channel's count is -2 at 3, below the capability at
+        // 5, and must not pull the frontier back to 3.
+        let mut updates = ProgressUpdates::new();
+        updates.messages.push((0, 3, -2));
+        tracker.apply(&updates);
+        assert_eq!(tracker.input_frontier(1, 0).time(), Some(&5));
+
+        // The production lands: the count nets to zero and nothing moves.
+        let mut changed = Vec::new();
+        tracker.drain_changed_nodes(&mut changed);
+        changed.clear();
+        let mut updates = ProgressUpdates::new();
+        updates.messages.push((0, 3, 2));
+        tracker.apply(&updates);
+        tracker.drain_changed_nodes(&mut changed);
+        assert_eq!(tracker.input_frontier(1, 0).time(), Some(&5));
+        assert!(changed.is_empty(), "a count that nets to zero moves no frontier");
     }
 
     #[test]
@@ -407,13 +445,13 @@ mod tests {
         updates.internals.push((Port::new(0, 0), 0, -1));
         updates.internals.push((Port::new(0, 0), 7, 1));
         tracker.apply(&updates);
-        assert_eq!(tracker.input_frontier(1, 0).elements(), &[0]);
+        assert_eq!(tracker.input_frontier(1, 0).time(), Some(&0));
         // Second worker advances too.
         let mut updates = ProgressUpdates::new();
         updates.internals.push((Port::new(0, 0), 0, -1));
         updates.internals.push((Port::new(0, 0), 9, 1));
         tracker.apply(&updates);
-        assert_eq!(tracker.input_frontier(1, 0).elements(), &[7]);
+        assert_eq!(tracker.input_frontier(1, 0).time(), Some(&7));
     }
 
     #[test]
@@ -445,8 +483,8 @@ mod tests {
         updates.internals.push((Port::new(1, 0), 0, -1));
         // b keeps its capability at 0.
         tracker.apply(&updates);
-        assert_eq!(tracker.input_frontier(3, 0).elements(), &[8]);
-        assert_eq!(tracker.input_frontier(3, 1).elements(), &[0]);
+        assert_eq!(tracker.input_frontier(3, 0).time(), Some(&8));
+        assert_eq!(tracker.input_frontier(3, 1).time(), Some(&0));
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn frontier_advance_wakes_downstream_operator() {
                     move |input, _output: &mut timelite::dataflow::OutputPort<u64, u64>, frontier| {
                         *runs_in.borrow_mut() += 1;
                         input.for_each(|_cap, _data| {});
-                        if let Some(time) = frontier.elements().first() {
+                        if let Some(time) = frontier.time() {
                             *frontier_in.borrow_mut() = *time;
                         }
                     }

@@ -5,9 +5,11 @@
 //! random cases. Failures print the seed of the offending case so it can be
 //! replayed.
 
+use std::collections::BTreeMap;
+
 use megaphone::prelude::*;
 use megaphone::RoutingTable;
-use timelite::progress::{Antichain, MutableAntichain};
+use timelite::progress::{EdgeDesc, NodeDesc, Port, ProgressUpdates, Tracker};
 
 /// A deterministic xorshift64* generator: enough randomness for property
 /// exploration, fully reproducible from the seed.
@@ -67,41 +69,46 @@ fn codec_roundtrips_nested_values() {
     }
 }
 
-/// The frontier of a MutableAntichain is always the set of minimal elements
-/// with positive count, regardless of the update order.
+/// The tracker's frontiers are, after every update, the least time with a
+/// positive net count. Reports arrive out of order — a consumption can land
+/// before its production — so counts go transiently negative, and a negative
+/// count must hold back nothing.
 #[test]
-fn mutable_antichain_frontier_is_minimal() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed * 2 + 1);
-        let updates: Vec<(u64, i64)> =
-            rng.vec_with(40, |rng| (rng.below(50), 1 + rng.below(3) as i64));
-        let mut antichain = MutableAntichain::new();
-        let mut counts = std::collections::HashMap::new();
-        for (time, diff) in &updates {
-            antichain.update_iter_and_ignore(Some((*time, *diff)));
-            *counts.entry(*time).or_insert(0i64) += diff;
-        }
-        let minimum = counts.iter().filter(|(_, count)| **count > 0).map(|(time, _)| *time).min();
-        match minimum {
-            None => assert!(antichain.is_empty(), "seed {seed}"),
-            Some(min) => {
-                assert!(antichain.less_equal(&min), "seed {seed}");
-                assert!(!antichain.less_than(&min), "seed {seed}");
-            }
-        }
+fn tracker_frontier_is_the_least_time_with_a_positive_count() {
+    fn least_positive(counts: &BTreeMap<u64, i64>) -> Option<u64> {
+        counts.iter().find(|&(_, &count)| count > 0).map(|(&time, _)| time)
     }
-}
-
-/// Antichain insertion keeps only minimal elements.
-#[test]
-fn antichain_keeps_minimal_elements() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed * 2 + 1);
-        let mut values: Vec<u64> = rng.vec_with(49, |rng| rng.below(1000));
-        values.push(rng.below(1000));
-        let antichain: Antichain<u64> = values.iter().copied().collect();
-        let minimum = *values.iter().min().expect("non-empty");
-        assert_eq!(antichain.elements(), &[minimum], "seed {seed}");
+        let updates: Vec<(bool, u64, i64)> =
+            rng.vec_with(40, |rng| (rng.below(2) == 0, rng.below(50), rng.below(7) as i64 - 3));
+        // source -> sink: the sink's input frontier is the meet of the
+        // source's capability counts and the channel's message counts.
+        let node = |name: &str, inputs, outputs| NodeDesc {
+            name: name.to_string(),
+            inputs,
+            outputs,
+            initial_capability: false,
+        };
+        let edges = vec![EdgeDesc { source: Port::new(0, 0), target: Port::new(1, 0) }];
+        let mut tracker = Tracker::<u64>::new(vec![node("source", 0, 1), node("sink", 1, 0)], edges, 1);
+        let (mut capabilities, mut messages) = (BTreeMap::new(), BTreeMap::new());
+        for &(capability, time, diff) in &updates {
+            let mut batch = ProgressUpdates::new();
+            if capability {
+                batch.internals.push((Port::new(0, 0), time, diff));
+                *capabilities.entry(time).or_insert(0) += diff;
+            } else {
+                batch.messages.push((0, time, diff));
+                *messages.entry(time).or_insert(0) += diff;
+            }
+            tracker.apply(&batch);
+            let held = least_positive(&capabilities);
+            let least = [held, least_positive(&messages)].into_iter().flatten().min();
+            assert_eq!(tracker.output_frontier(0, 0).time(), held.as_ref(), "seed {seed}");
+            assert_eq!(tracker.input_frontier(1, 0).time(), least.as_ref(), "seed {seed}");
+            assert_eq!(tracker.is_complete(), least.is_none(), "seed {seed}");
+        }
     }
 }
 
